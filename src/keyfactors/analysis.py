@@ -10,6 +10,7 @@ values; rounding affects display only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -40,6 +41,8 @@ class AnalysisConfig:
     display_decimals: int = 1
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.dominant_ratio, self.reactive_ratio, self.key_threshold))):
+            raise ValueError("ratios and key_threshold must be finite")
         if self.dominant_ratio <= 0 or self.reactive_ratio <= 0:
             raise ValueError("ratios must be positive")
         if self.reactive_ratio >= self.dominant_ratio:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -220,6 +221,14 @@ def _scores_from_args(args: argparse.Namespace):
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return None, 2
+        if table.total_active() != table.total_passive():
+            print(
+                f"{args.from_sums}: warning: total active sum {table.total_active()} "
+                f"!= total passive sum {table.total_passive()}",
+                file=sys.stderr,
+            )
+            if args.strict:
+                return None, 1
         return analyze(table, cfg), 0
     chains = _load_chains(args)
     if chains is None:
@@ -278,7 +287,8 @@ def _usage_error(args: argparse.Namespace, message: str, code: int = 1) -> int:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte order mark that spreadsheet exports write.
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -326,10 +336,20 @@ def _write_output(text: str, output: str | None) -> None:
         _write_atomic(Path(output), text)
 
 
+@functools.cache
+def _new_file_mode() -> int:
+    """Mode a plain open() would give a new file; the umask is read once per process."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            # mkstemp creates the file as 0600; give it the mode open() would have.
+            os.fchmod(handle.fileno(), _new_file_mode())
             handle.write(text)
         os.replace(tmp_name, path)
     except OSError:

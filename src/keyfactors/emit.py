@@ -53,8 +53,13 @@ def export_matrix_csv(
     writer = csv.writer(buffer, lineterminator="\n")
     labels = [factor.label for factor in matrix.factors]
     writer.writerow([""] + labels + ["active_sum", "active_rank"])
+    row_edges: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), value in matrix.edges.items():
+        row_edges.setdefault(r, []).append((c, value))
     for i, factor in enumerate(matrix.factors):
-        cells = ["" if value == 0 else value for value in matrix.counts[i]]
+        cells: list[int | str] = [""] * matrix.size
+        for c, value in row_edges.get(i, ()):
+            cells[c] = value
         writer.writerow([factor.label] + cells + [table.active[i], active_ranks[i]])
     if matrix.factors:
         writer.writerow(["passive_sum"] + list(table.passive) + ["", ""])
@@ -237,12 +242,8 @@ def export_dot(matrix: RelationshipMatrix) -> str:
     for factor in matrix.factors:
         label = _dot_escape(f"{factor.id}: {factor.display_name}")
         lines.append(f'  f{factor.id} [label="{label}", shape={_DOT_SHAPES[factor.category]}];')
-    for r, row in enumerate(matrix.counts):
-        for c, value in enumerate(row):
-            if value:
-                lines.append(
-                    f'  f{r + 1} -> f{c + 1} [label="{value}", penwidth={float(value):.1f}];'
-                )
+    for (r, c), value in matrix.edges.items():
+        lines.append(f'  f{r + 1} -> f{c + 1} [label="{value}", penwidth={float(value):.1f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -5,11 +5,18 @@ across all chains; repeated observations add up, which is the weighting
 of relationships by frequency. Row sums are active sums (how often a
 factor influenced others), column sums are passive sums (how often it
 was influenced).
+
+Merged failure networks are almost all zeros, so the matrix stores only
+its nonzero cells (edges). Building, summing, merging and walking it cost
+O(edges), not O(factors²); only the dense CSV export touches every cell.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from keyfactors.model import (
     CATEGORY_ORDER,
@@ -26,34 +33,41 @@ Identity = tuple[FactorCategory, str]
 
 @dataclass(frozen=True)
 class RelationshipMatrix:
-    """Dense square grid of transition counts over an ordered factor list."""
+    """Sparse transition counts over an ordered factor list.
+
+    ``edges`` maps 0-based (row, column) factor indices to positive
+    counts; every cell it omits is zero. The matrix keeps the edges as a
+    read-only mapping in row-major order, so iterating it walks the
+    nonzero cells row by row.
+    """
 
     factors: tuple[Factor, ...]
-    counts: tuple[tuple[int, ...], ...]
+    edges: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
         n = len(self.factors)
-        if len(self.counts) != n or any(len(row) != n for row in self.counts):
-            raise ValueError("counts must be square with one row per factor")
+        for (r, c), count in self.edges.items():
+            if not (0 <= r < n and 0 <= c < n) or count <= 0:
+                raise ValueError(f"edge ({r}, {c}) = {count}: index out of range or count not positive")
+        # One integer sort key per cell sorts much faster than (row, col) tuples.
+        ordered = sorted(self.edges.items(), key=lambda item: item[0][0] * n + item[0][1])
+        object.__setattr__(self, "edges", MappingProxyType(dict(ordered)))
 
     @property
     def size(self) -> int:
         return len(self.factors)
 
     def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+        return sum(self.edges.values())
 
     def cell(self, source_id: int, target_id: int) -> int:
-        return self.counts[source_id - 1][target_id - 1]
+        if not (1 <= source_id <= self.size and 1 <= target_id <= self.size):
+            raise IndexError(f"factor ids must lie in [1, {self.size}]")
+        return self.edges.get((source_id - 1, target_id - 1), 0)
 
     def cells_by_identity(self) -> dict[tuple[Identity, Identity], int]:
         """Nonzero cells keyed by factor identities, independent of ordering."""
-        out: dict[tuple[Identity, Identity], int] = {}
-        for r, row in enumerate(self.counts):
-            for c, value in enumerate(row):
-                if value:
-                    out[(self.factors[r].identity, self.factors[c].identity)] = value
-        return out
+        return {(self.factors[r].identity, self.factors[c].identity): n for (r, c), n in self.edges.items()}
 
 
 @dataclass(frozen=True)
@@ -78,9 +92,10 @@ class SumsTable:
         return sum(self.passive)
 
 
-def _ordered_factors(appearance: dict[Identity, int], display: dict[Identity, str]) -> tuple[Factor, ...]:
+def _ordered_factors(display: dict[Identity, str]) -> tuple[Factor, ...]:
     # Presentation order: category group first, then first appearance.
-    idents = sorted(appearance, key=lambda ident: (CATEGORY_ORDER[ident[0]], appearance[ident]))
+    # ``display`` is in first-appearance order and the sort is stable.
+    idents = sorted(display, key=lambda ident: CATEGORY_ORDER[ident[0]])
     return tuple(
         Factor(category=ident[0], display_name=display[ident], canonical_key=ident[1], id=i)
         for i, ident in enumerate(idents, start=1)
@@ -101,24 +116,30 @@ def build_matrix(chains: ChainSet) -> RelationshipMatrix:
     if invalid:
         raise ChainValidationError(invalid)
 
-    appearance: dict[Identity, int] = {}
+    # Paths hold first-appearance numbers rather than identities, so each
+    # step's normalized name is freed as soon as it has been looked up.
     display: dict[Identity, str] = {}
+    seen: dict[Identity, int] = {}
+    paths = []
     for chain in chains:
+        path = []
         for category, name in chain.steps:
             ident = (category, normalize_name(name))
-            if ident not in appearance:
-                appearance[ident] = len(appearance)
+            if ident not in seen:
+                seen[ident] = len(seen)
                 display[ident] = name
-    factors = _ordered_factors(appearance, display)
-    index_of = {factor.identity: factor.id - 1 for factor in factors}
+            path.append(seen[ident])
+        paths.append(path)
+    factors = _ordered_factors(display)
+    index_of = [0] * len(factors)
+    for factor in factors:
+        index_of[seen[factor.identity]] = factor.id - 1
 
-    n = len(factors)
-    grid = [[0] * n for _ in range(n)]
-    for chain in chains:
-        path = [index_of[(category, normalize_name(name))] for category, name in chain.steps]
-        for r, c in zip(path, path[1:]):
-            grid[r][c] += 1
-    return RelationshipMatrix(factors, tuple(tuple(row) for row in grid))
+    edges: Counter[tuple[int, int]] = Counter()
+    for path in paths:
+        rows = [index_of[i] for i in path]
+        edges.update(zip(rows, rows[1:]))
+    return RelationshipMatrix(factors, edges)
 
 
 def merge(a: RelationshipMatrix, b: RelationshipMatrix) -> RelationshipMatrix:
@@ -127,32 +148,27 @@ def merge(a: RelationshipMatrix, b: RelationshipMatrix) -> RelationshipMatrix:
     Ordering is reapplied with a's factors appearing before b's novel
     ones inside each category; display names keep the first-seen spelling.
     """
-    appearance: dict[Identity, int] = {}
     display: dict[Identity, str] = {}
     for factor in a.factors + b.factors:
-        if factor.identity not in appearance:
-            appearance[factor.identity] = len(appearance)
-            display[factor.identity] = factor.display_name
-    factors = _ordered_factors(appearance, display)
+        display.setdefault(factor.identity, factor.display_name)
+    factors = _ordered_factors(display)
     index_of = {factor.identity: factor.id - 1 for factor in factors}
 
-    n = len(factors)
-    grid = [[0] * n for _ in range(n)]
+    edges: Counter[tuple[int, int]] = Counter()
     for source in (a, b):
-        for r, row in enumerate(source.counts):
-            for c, value in enumerate(row):
-                if value:
-                    grid[index_of[source.factors[r].identity]][
-                        index_of[source.factors[c].identity]
-                    ] += value
-    return RelationshipMatrix(factors, tuple(tuple(row) for row in grid))
+        new = [index_of[factor.identity] for factor in source.factors]
+        edges.update({(new[r], new[c]): count for (r, c), count in source.edges.items()})
+    return RelationshipMatrix(factors, edges)
 
 
 def sums(matrix: RelationshipMatrix) -> SumsTable:
     """Row and column sums of the matrix: the active and passive sums."""
-    active = tuple(sum(row) for row in matrix.counts)
-    passive = tuple(sum(column) for column in zip(*matrix.counts)) if matrix.factors else ()
-    return SumsTable(matrix.factors, active, passive)
+    active = [0] * matrix.size
+    passive = [0] * matrix.size
+    for (r, c), count in matrix.edges.items():
+        active[r] += count
+        passive[c] += count
+    return SumsTable(matrix.factors, tuple(active), tuple(passive))
 
 
 def brute_force_sums(chains: ChainSet) -> SumsTable:

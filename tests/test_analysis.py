@@ -125,6 +125,13 @@ def test_config_validation():
         AnalysisConfig(display_decimals=-1)
 
 
+@pytest.mark.parametrize("field", ["dominant_ratio", "reactive_ratio", "key_threshold"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_thresholds(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        AnalysisConfig(**{field: value})
+
+
 def test_key_selection_threshold():
     scores = analyze(sums_table([0, 1, 23], [24, 1, 20]))
     by_id = {s.factor.id: s for s in scores}

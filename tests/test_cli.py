@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
+from keyfactors import cli
 from keyfactors.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -117,6 +120,58 @@ def test_analyze_rejects_bad_ratio_combination(capsys):
     ])
     assert code == 2
     assert "reactive_ratio" in capsys.readouterr().err
+
+
+def test_analyze_rejects_non_finite_ratios(capsys):
+    for value in ("nan", "inf"):
+        code = main([
+            "analyze", "--from-sums", str(DATA / "table1_rank_consistent.csv"),
+            "--dominant-ratio", value,
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def test_analyze_from_sums_warns_when_totals_do_not_conserve(tmp_path, capsys):
+    sums_path = str(DATA / "table1_as_printed.csv")
+    out = tmp_path / "report.csv"
+    assert main(["analyze", "--from-sums", sums_path, "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "278" in err and "275" in err
+    assert main(["analyze", "--strict", "--from-sums", sums_path, "-o", str(tmp_path / "strict.csv")]) == 1
+    assert not (tmp_path / "strict.csv").exists()
+
+
+def test_analyze_reads_chain_file_with_byte_order_mark(tmp_path, capsys):
+    text = Path(CHAIN_FILES[0]).read_text(encoding="utf-8")
+    bom_path = write(tmp_path, "bom.chains", "\ufeff" + text)
+    assert main(["analyze", CHAIN_FILES[0]]) == 0
+    plain = capsys.readouterr().out
+    assert main(["analyze", bom_path]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (plain, "")
+
+
+def test_analyze_reads_sums_csv_with_byte_order_mark(tmp_path, capsys):
+    sums_path = DATA / "table1_rank_consistent.csv"
+    bom_path = write(tmp_path, "bom.csv", "\ufeff" + sums_path.read_text(encoding="utf-8"))
+    assert main(["analyze", "--from-sums", str(sums_path)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["analyze", "--from-sums", bom_path]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (plain, "")
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    previous = os.umask(0o022)
+    cli._new_file_mode.cache_clear()
+    try:
+        out = tmp_path / "m.csv"
+        assert main(["matrix", CHAIN_FILES[0], "-o", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    finally:
+        os.umask(previous)
+        cli._new_file_mode.cache_clear()
 
 
 def test_analyze_rejects_malformed_sums_csv(tmp_path, capsys):

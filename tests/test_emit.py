@@ -71,7 +71,7 @@ def test_matrix_csv_round_trips_counts_and_sums(chain_set):
     m, table, text = matrix_csv_for(chain_set)
     labels, counts, active, passive = read_matrix_csv(text)
     assert labels == [f.label for f in m.factors]
-    assert counts == [list(row) for row in m.counts]
+    assert counts == [[m.cell(r.id, c.id) for c in m.factors] for r in m.factors]
     assert active == list(table.active)
     if m.factors:
         assert passive == list(table.passive)

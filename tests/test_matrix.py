@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,9 @@ def test_single_chain_counts():
     assert m.cell(1, 2) == 1
     assert m.cell(2, 3) == 1
     assert m.total() == 2
+    for source_id, target_id in ((0, 1), (1, 4), (-1, 1)):
+        with pytest.raises(IndexError):
+            m.cell(source_id, target_id)
 
 
 def test_repeated_transition_weights_to_two():
@@ -88,9 +93,9 @@ def test_harm_rows_and_diagonal_are_zero():
     chains = ChainSet((ABH, chain((C.EFFECT, "B"), (C.COMPONENT, "A"), (C.HARM, "H"))))
     m = build_matrix(chains)
     for factor in m.factors:
-        assert m.counts[factor.id - 1][factor.id - 1] == 0
+        assert m.cell(factor.id, factor.id) == 0
         if factor.category is C.HARM:
-            assert all(v == 0 for v in m.counts[factor.id - 1])
+            assert all(m.cell(factor.id, target.id) == 0 for target in m.factors)
 
 
 def test_invalid_chain_is_rejected_with_violations():
@@ -177,8 +182,26 @@ def test_appending_a_chain_never_decreases_cells(chain_set):
 
 
 def test_matrix_shape_is_validated():
-    with pytest.raises(ValueError):
-        RelationshipMatrix(build_matrix(ChainSet((ABH,))).factors, ((0,),))
+    factors = build_matrix(ChainSet((ABH,))).factors
+    for edges in ({(0, 3): 1}, {(3, 0): 1}, {(-1, 0): 1}, {(0, 1): 0}, {(0, 1): -2}):
+        with pytest.raises(ValueError):
+            RelationshipMatrix(factors, edges)
+    unordered = RelationshipMatrix(factors, {(1, 2): 1, (0, 1): 1})
+    assert list(unordered.edges) == [(0, 1), (1, 2)]  # row-major, whatever the input order
+    assert unordered == build_matrix(ChainSet((ABH,)))
+
+
+def test_build_memory_grows_with_edges_not_factors_squared():
+    # 4,000 factors, 2,000 transitions: a dense grid would hold 16M cells (~128 MB of pointers).
+    chains = ChainSet(tuple(chain((C.COMPONENT, f"c{i}"), (C.HARM, f"h{i}")) for i in range(2000)))
+    tracemalloc.start()
+    try:
+        m = build_matrix(chains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.size, m.total()) == (4000, 2000)
+    assert peak < 16 * 2**20
 
 
 def _maybe_corrupt(chain, mode):
