@@ -13,10 +13,8 @@ from keyfactors.analysis import (
     analyze,
     classify,
     competition_rank,
-    display_round,
     format_display,
     normalize_sums,
-    select_key_factors,
 )
 from keyfactors.dsl import Diagnostic, Severity, parse_document, serialize_document
 from keyfactors.emit import (
@@ -77,7 +75,6 @@ __all__ = [
     "build_matrix",
     "classify",
     "competition_rank",
-    "display_round",
     "export_dot",
     "export_matrix_csv",
     "export_report_csv",
@@ -89,7 +86,6 @@ __all__ = [
     "parse_alert_records",
     "parse_document",
     "render_scatter_svg",
-    "select_key_factors",
     "serialize_document",
     "sums",
     "validate_chain",

@@ -4,14 +4,16 @@ Active and passive sums are normalized to [0, 100] per axis, ranked with
 descending competition ranking (ties share the smallest applicable
 rank), and classified into regions by the ratio of the normalized
 values. Key factors are those whose combined normalized magnitude
-clears a configurable threshold. All decisions are made on exact
-values; rounding affects display only.
+clears a configurable threshold. Region and key decisions are made on
+the integer sums, each axis's maximum and the thresholds' exact values,
+by integer cross-multiplication; the float normalized values serve
+display and plotting only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Sequence
@@ -32,16 +34,22 @@ class AnalysisConfig:
     """Thresholds and rounding rules for classification and key selection.
 
     dominant_ratio / reactive_ratio bound the normalized active:passive
-    ratio; key_threshold applies to active_norm + passive_norm.
+    ratio; key_threshold applies to active_norm + passive_norm. A
+    threshold may be any finite number with ``as_integer_ratio()`` (int,
+    float, Decimal, Fraction), and decisions use its exact value: give
+    Decimal("0.1"), not the float 0.1, to mean one tenth.
     """
 
-    dominant_ratio: float = 2.0
-    reactive_ratio: float = 0.5
-    key_threshold: float = 75.0
+    dominant_ratio: float | Decimal = 2.0
+    reactive_ratio: float | Decimal = 0.5
+    key_threshold: float | Decimal = 75.0
     display_decimals: int = 1
+    # (numerator, denominator) of each threshold above, denominator > 0.
+    _exact: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.dominant_ratio, self.reactive_ratio, self.key_threshold))):
+        thresholds = (self.dominant_ratio, self.reactive_ratio, self.key_threshold)
+        if not all(map(math.isfinite, thresholds)):
             raise ValueError("ratios and key_threshold must be finite")
         if self.dominant_ratio <= 0 or self.reactive_ratio <= 0:
             raise ValueError("ratios must be positive")
@@ -51,6 +59,7 @@ class AnalysisConfig:
             raise ValueError("key_threshold must lie in [0, 200]")
         if self.display_decimals < 0:
             raise ValueError("display_decimals must be >= 0")
+        object.__setattr__(self, "_exact", tuple(t.as_integer_ratio() for t in thresholds))
 
 
 @dataclass(frozen=True)
@@ -90,33 +99,43 @@ def competition_rank(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(first_position[value] for value in values)
 
 
-def classify(active_norm: float, passive_norm: float, cfg: AnalysisConfig | None = None) -> Region:
-    """Assign the region for one factor's normalized coordinates."""
+def classify(
+    active_sum: int, passive_sum: int, active_max: int, passive_max: int, cfg: AnalysisConfig | None = None
+) -> Region:
+    """Assign the region for one factor from its sums and each axis's maximum.
+
+    The normalized ratio (active_sum / active_max) / (passive_sum /
+    passive_max) is compared with the configured ratios by integer
+    cross-multiplication, so a factor on a boundary lands on it; both
+    boundaries are inclusive.
+    """
     cfg = cfg or AnalysisConfig()
-    if not (0 <= active_norm <= 100 and 0 <= passive_norm <= 100):
-        raise ValueError("normalized values must lie in [0, 100]")
-    if active_norm == 0 and passive_norm == 0:
+    if not (0 <= active_sum <= active_max and 0 <= passive_sum <= passive_max):
+        raise ValueError("sums must lie in [0, axis maximum]")
+    if active_sum == 0 and passive_sum == 0:
         return Region.ISOLATED
-    if passive_norm == 0:
+    if passive_sum == 0:
         return Region.DOMINANT
-    if active_norm == 0:
+    if active_sum == 0:
         return Region.REACTIVE
-    ratio = active_norm / passive_norm
-    if ratio >= cfg.dominant_ratio:
+    (dn, dd), (rn, rd), _ = cfg._exact
+    # ratio = left / right with both positive.
+    left = active_sum * passive_max
+    right = passive_sum * active_max
+    if left * dd >= right * dn:
         return Region.DOMINANT
-    if ratio <= cfg.reactive_ratio:
+    if left * rd <= right * rn:
         return Region.REACTIVE
     return Region.DYNAMIC
 
 
-def _is_key(active_norm: float, passive_norm: float, cfg: AnalysisConfig) -> bool:
-    return active_norm + passive_norm >= cfg.key_threshold
-
-
-def select_key_factors(scores: Sequence[FactorScore], cfg: AnalysisConfig | None = None) -> tuple[bool, ...]:
-    """Key flags for already-normalized scores (combined-magnitude rule)."""
-    cfg = cfg or AnalysisConfig()
-    return tuple(_is_key(s.active_norm, s.passive_norm, cfg) for s in scores)
+def _is_key(active_sum: int, passive_sum: int, active_max: int, passive_max: int, cfg: AnalysisConfig) -> bool:
+    # 100 * active_sum / active_max + 100 * passive_sum / passive_max >= kn / kd,
+    # multiplied out; an all-zero axis has only zero sums, so its maximum may read 1.
+    kn, kd = cfg._exact[2]
+    active_max = active_max or 1
+    passive_max = passive_max or 1
+    return 100 * kd * (active_sum * passive_max + passive_sum * active_max) >= kn * active_max * passive_max
 
 
 def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tuple[FactorScore, ...]:
@@ -128,6 +147,8 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
     cfg = cfg or AnalysisConfig()
     table = sums(build_matrix(data)) if isinstance(data, ChainSet) else data
     active_norm, passive_norm = normalize_sums(table)
+    active_max = max(table.active, default=0)
+    passive_max = max(table.passive, default=0)
     active_rank = competition_rank(table.active)
     passive_rank = competition_rank(table.passive)
     return tuple(
@@ -139,23 +160,14 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
             passive_norm=passive_norm[i],
             active_rank=active_rank[i],
             passive_rank=passive_rank[i],
-            region=classify(active_norm[i], passive_norm[i], cfg),
-            key=_is_key(active_norm[i], passive_norm[i], cfg),
+            region=classify(table.active[i], table.passive[i], active_max, passive_max, cfg),
+            key=_is_key(table.active[i], table.passive[i], active_max, passive_max, cfg),
         )
         for i, factor in enumerate(table.factors)
     )
 
 
-def display_round(value: float, decimals: int = 1) -> float:
-    """Round half away from zero, as the printed report values are."""
-    return float(_quantize(value, decimals))
-
-
 def format_display(value: float, decimals: int = 1) -> str:
-    """Fixed-decimals text form of a value, half-away-from-zero rounded."""
-    return str(_quantize(value, decimals))
-
-
-def _quantize(value: float, decimals: int) -> Decimal:
+    """Fixed-decimals text form of a value, rounded half away from zero as printed reports are."""
     exponent = Decimal(1).scaleb(-decimals)
-    return Decimal(repr(float(value))).quantize(exponent, rounding=ROUND_HALF_UP)
+    return str(Decimal(repr(float(value))).quantize(exponent, rounding=ROUND_HALF_UP))

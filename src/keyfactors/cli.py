@@ -25,6 +25,7 @@ import io
 import os
 import sys
 import tempfile
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from keyfactors.analysis import AnalysisConfig, analyze, competition_rank
@@ -127,9 +128,24 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dominant-ratio", type=float, default=2.0, metavar="R")
-    parser.add_argument("--reactive-ratio", type=float, default=0.5, metavar="R")
-    parser.add_argument("--key-threshold", type=float, default=75.0, metavar="T")
+    parser.add_argument("--dominant-ratio", type=_number, default=2.0, metavar="R")
+    parser.add_argument("--reactive-ratio", type=_number, default=0.5, metavar="R")
+    parser.add_argument("--key-threshold", type=_number, default=75.0, metavar="T")
+
+
+def _number(text: str) -> Decimal:
+    """A threshold exactly as written: 0.1 stays one tenth, where a float would not.
+
+    Magnitudes beyond a float's range are refused: the exact ratio of a
+    value such as 1e-999999999 would take gigabytes.
+    """
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if value is None or abs(value.adjusted()) > 308:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+    return value
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -24,6 +24,12 @@ Parsing is total: any input yields a (possibly empty) chain set plus a
 deterministic list of diagnostics. A chain with a syntax error or a
 broken chain invariant is excluded and reported with one error
 diagnostic per problem; warnings never exclude anything.
+
+Each line is stripped once. A well-formed step line is read by one
+compiled pattern (keyword, then a quoted name with valid escapes only),
+and its name is unescaped only if it holds a backslash. Every other
+line (headers, unknown keywords, malformed names) takes the full path,
+where the character scanner runs only to place an error's column.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from keyfactors.model import (
     ChainValidationError,
     FactorCategory,
     FailureChain,
+    Step,
     validate_chain,
 )
 
@@ -59,6 +66,10 @@ class Diagnostic:
 _STEP_KEYWORDS = {category.value: category for category in FactorCategory}
 _HEADER_RE = re.compile(r"^(alert|case):\s?(.*)$", re.IGNORECASE)
 _KEYWORD_RE = re.compile(r"[A-Za-z_]+")
+# A well-formed step line, stripped: keyword, optional blanks, then one
+# quoted name that ends the line and whose only escapes are those of _UNESCAPES.
+_STEP_RE = re.compile(r'([A-Za-z_]+)\s*"([^"\\]*(?:\\[\\"nrt][^"\\]*)*)"')
+_ESCAPE_RE = re.compile(r'\\([\\"nrt])')
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
@@ -69,24 +80,21 @@ def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     chains: list[FailureChain] = []
 
-    blocks: list[list[tuple[int, str]]] = [[]]
+    # Each block keeps its header and step lines as (line number, line,
+    # stripped line); separators, blank lines and comments are dropped.
+    blocks: list[list[tuple[int, str, str]]] = [[]]
     block_starts = [1]
     has_separator = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
-        if line.strip() == "---":
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped == "---":
             has_separator = True
             blocks.append([])
             block_starts.append(lineno + 1)
-            continue
-        blocks[-1].append((lineno, line))
+        elif stripped and stripped[0] != "#":
+            blocks[-1].append((lineno, line, stripped))
 
-    for start, block in zip(block_starts, blocks):
-        content = [
-            (lineno, text)
-            for lineno, text in block
-            if text.strip() and not text.lstrip().startswith("#")
-        ]
+    for start, content in zip(block_starts, blocks):
         if not content:
             if has_separator:
                 diagnostics.append(
@@ -101,16 +109,44 @@ def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
     return ChainSet(tuple(chains)), diagnostics
 
 
-def _parse_block(content: list[tuple[int, str]]) -> tuple[FailureChain | None, list[Diagnostic]]:
+def _column(line: str) -> int:
+    return len(line) - len(line.lstrip()) + 1
+
+
+def _fast_step(stripped: str) -> Step | None:
+    """The step on a well-formed step line; None leaves the line to the full path."""
+    match = _STEP_RE.fullmatch(stripped)
+    if match is None:
+        return None
+    category = _STEP_KEYWORDS.get(match[1].casefold())
+    if category is None:
+        return None
+    name = match[2]
+    if "\\" in name:
+        name = _ESCAPE_RE.sub(_unescape, name)
+    return category, name
+
+
+def _unescape(match: re.Match[str]) -> str:
+    return _UNESCAPES[match[1]]
+
+
+def _parse_block(content: list[tuple[int, str, str]]) -> tuple[FailureChain | None, list[Diagnostic]]:
     errors: list[Diagnostic] = []
     headers: dict[str, str] = {}
-    steps: list[tuple[FactorCategory, str]] = []
-    positions: list[tuple[int, int]] = []
+    steps: list[Step] = []
+    step_lines: list[tuple[int, str, str]] = []
 
-    for lineno, text in content:
-        stripped = text.strip()
-        column = len(text) - len(text.lstrip()) + 1
+    for entry in content:
+        lineno, line, stripped = entry
+        step = _fast_step(stripped)
+        if step is not None:
+            steps.append(step)
+            step_lines.append(entry)
+            continue
 
+        # Headers, unknown keywords and malformed names.
+        column = _column(line)
         header = _HEADER_RE.match(stripped)
         if header:
             key = header.group(1).casefold()
@@ -155,7 +191,7 @@ def _parse_block(content: list[tuple[int, str]]) -> tuple[FailureChain | None, l
             errors.append(error)
             continue
         steps.append((category, name))
-        positions.append((lineno, column))
+        step_lines.append(entry)
 
     first_line = content[0][0]
     for key in ("alert", "case"):
@@ -168,8 +204,9 @@ def _parse_block(content: list[tuple[int, str]]) -> tuple[FailureChain | None, l
 
     chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
     for violation in validate_chain(chain):
-        if 1 <= violation.step <= len(positions):
-            lineno, column = positions[violation.step - 1]
+        if 1 <= violation.step <= len(step_lines):
+            lineno, line, _ = step_lines[violation.step - 1]
+            column = _column(line)
         else:
             lineno, column = first_line, 1
         errors.append(

@@ -170,7 +170,7 @@ def render_scatter_svg(
         f'transform="rotate(-90 {layout.font_size + 2} {_fmt(mid_y)})">active sum (normalized)</text>'
     )
 
-    for slope in (cfg.dominant_ratio, cfg.reactive_ratio):
+    for slope in (float(cfg.dominant_ratio), float(cfg.reactive_ratio)):
         px, py = _ray_end(slope)
         parts.append(
             f'<line class="boundary" x1="{_fmt(layout.x_pixel(0))}" y1="{_fmt(layout.y_pixel(0))}" '

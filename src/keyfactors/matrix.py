@@ -23,12 +23,11 @@ from keyfactors.model import (
     ChainSet,
     ChainValidationError,
     Factor,
-    FactorCategory,
+    Identity,
     normalize_name,
+    step_identities,
     validate_chain,
 )
-
-Identity = tuple[FactorCategory, str]
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,6 @@ class RelationshipMatrix:
         if not (1 <= source_id <= self.size and 1 <= target_id <= self.size):
             raise IndexError(f"factor ids must lie in [1, {self.size}]")
         return self.edges.get((source_id - 1, target_id - 1), 0)
-
-    def cells_by_identity(self) -> dict[tuple[Identity, Identity], int]:
-        """Nonzero cells keyed by factor identities, independent of ordering."""
-        return {(self.factors[r].identity, self.factors[c].identity): n for (r, c), n in self.edges.items()}
 
 
 @dataclass(frozen=True)
@@ -105,32 +100,34 @@ def _ordered_factors(display: dict[Identity, str]) -> tuple[Factor, ...]:
 def build_matrix(chains: ChainSet) -> RelationshipMatrix:
     """Fold a chain set into the relationship matrix.
 
-    Rejects the whole input (no partial matrix) if any chain is invalid,
-    raising ChainValidationError with every offending chain's violations.
+    Each step's identity comes from step_identities, which also checks
+    the chain invariants; validate_chain runs only on the chains that
+    check rejects, to say why. Rejects the whole input (no partial
+    matrix) if any chain is invalid, raising ChainValidationError with
+    every offending chain's violations.
     """
+    # Paths hold first-appearance numbers rather than identities, so each
+    # chain's identities are freed as soon as they have been looked up.
+    seen: dict[Identity, int] = {}
+    names: list[str] = []
+    paths = []
     invalid = []
     for index, chain in enumerate(chains):
-        violations = validate_chain(chain)
-        if violations:
-            invalid.append((index, violations))
+        idents = step_identities(chain)
+        if idents is None:
+            invalid.append((index, validate_chain(chain)))
+            continue
+        path = []
+        for ident, (_, name) in zip(idents, chain.steps):
+            number = seen.setdefault(ident, len(seen))
+            if number == len(names):
+                names.append(name)
+            path.append(number)
+        paths.append(path)
     if invalid:
         raise ChainValidationError(invalid)
 
-    # Paths hold first-appearance numbers rather than identities, so each
-    # step's normalized name is freed as soon as it has been looked up.
-    display: dict[Identity, str] = {}
-    seen: dict[Identity, int] = {}
-    paths = []
-    for chain in chains:
-        path = []
-        for category, name in chain.steps:
-            ident = (category, normalize_name(name))
-            if ident not in seen:
-                seen[ident] = len(seen)
-                display[ident] = name
-            path.append(seen[ident])
-        paths.append(path)
-    factors = _ordered_factors(display)
+    factors = _ordered_factors(dict(zip(seen, names)))
     index_of = [0] * len(factors)
     for factor in factors:
         index_of[seen[factor.identity]] = factor.id - 1

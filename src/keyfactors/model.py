@@ -9,6 +9,7 @@ spellings of the same factor merge across chains.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -64,6 +65,9 @@ def normalize_name(raw: str) -> str:
     return key
 
 
+Identity = tuple[FactorCategory, str]
+
+
 @dataclass(frozen=True)
 class Factor:
     """One influencing factor. Identity is (category, canonical_key)."""
@@ -74,7 +78,7 @@ class Factor:
     id: int
 
     @property
-    def identity(self) -> tuple[FactorCategory, str]:
+    def identity(self) -> Identity:
         return (self.category, self.canonical_key)
 
     @property
@@ -157,13 +161,45 @@ class ChainValidationError(ValueError):
         super().__init__(f"invalid chains: {summary}")
 
 
+def step_identities(chain: FailureChain) -> list[Identity] | None:
+    """Each step's identity (category, normalized name), or None for an invalid chain.
+
+    Callers take identities from here instead of normalizing names
+    themselves. The check that comes with them is cheap and exact: None
+    means validate_chain finds at least one violation, a list means it
+    finds none.
+    """
+    steps = chain.steps
+    try:
+        idents = [(category, normalize_name(name)) for category, name in steps]
+    except EmptyNameError:
+        return None
+    categories = [category for category, _ in steps]
+    if (
+        len(steps) < 2
+        or categories[-1] is not FactorCategory.HARM
+        or categories.count(FactorCategory.HARM) != 1
+        or any(map(operator.eq, idents, idents[1:]))
+    ):
+        return None
+    return idents
+
+
 def validate_chain(chain: FailureChain) -> list[Violation]:
     """Check every chain invariant, reporting violations in step order.
 
     An empty list means the chain is accepted by the matrix builder.
     MissingHarm is suppressed when a misplaced harm already explains why
-    the final step is not the harm.
+    the final step is not the harm. A valid chain is accepted by the
+    step_identities check alone; the violation list is built only when
+    that check fails.
     """
+    if step_identities(chain) is not None:
+        return []
+    return _violations(chain)
+
+
+def _violations(chain: FailureChain) -> list[Violation]:
     violations: list[Violation] = []
     steps = chain.steps
     n = len(steps)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -9,10 +11,8 @@ from keyfactors.analysis import (
     analyze,
     classify,
     competition_rank,
-    display_round,
     format_display,
     normalize_sums,
-    select_key_factors,
 )
 from keyfactors.matrix import SumsTable
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
@@ -42,8 +42,8 @@ def test_normalize_zero_axis_is_all_zero():
 
 
 def test_display_rounding_is_half_away_from_zero():
-    assert display_round(12.25, 1) == 12.3  # bankers' rounding would give 12.2
-    assert display_round(95.65217391304348, 1) == 95.7
+    assert format_display(12.25, 1) == "12.3"  # bankers' rounding would give 12.2
+    assert format_display(95.65217391304348, 1) == "95.7"
     assert format_display(75.0, 1) == "75.0"
     assert format_display(13.04, 0) == "13"
 
@@ -83,35 +83,88 @@ def test_competition_rank_matches_counting_definition(values):
 
 def test_classify_named_regions():
     # factor 13 in the case study: sums 8 and 3 against axis maxima 23 and 24
-    assert classify(100 * 8 / 23, 100 * 3 / 24) is Region.DOMINANT
+    assert classify(8, 3, 23, 24) is Region.DOMINANT
     # factor 23: sums 22 and 20
-    assert classify(100 * 22 / 23, 100 * 20 / 24) is Region.DYNAMIC
-    assert classify(0.0, 0.0) is Region.ISOLATED
-    assert classify(40.0, 0.0) is Region.DOMINANT
-    assert classify(0.0, 40.0) is Region.REACTIVE
+    assert classify(22, 20, 23, 24) is Region.DYNAMIC
+    assert classify(0, 0, 23, 24) is Region.ISOLATED
+    assert classify(9, 0, 23, 24) is Region.DOMINANT
+    assert classify(0, 9, 23, 24) is Region.REACTIVE
 
 
 def test_classify_boundaries_are_inclusive():
-    assert classify(50.0, 25.0) is Region.DOMINANT  # ratio exactly 2.0
-    assert classify(25.0, 50.0) is Region.REACTIVE  # ratio exactly 0.5
-    assert classify(49.9, 25.0) is Region.DYNAMIC
+    assert classify(50, 25, 100, 100) is Region.DOMINANT  # ratio exactly 2.0
+    assert classify(25, 50, 100, 100) is Region.REACTIVE  # ratio exactly 0.5
+    assert classify(499, 250, 1000, 1000) is Region.DYNAMIC
 
 
 def test_classify_rejects_out_of_range_input():
     with pytest.raises(ValueError):
-        classify(101.0, 0.0)
+        classify(24, 0, 23, 24)
     with pytest.raises(ValueError):
-        classify(0.0, -0.1)
+        classify(0, -1, 23, 24)
 
 
 @given(
-    st.floats(min_value=0.01, max_value=100),
-    st.floats(min_value=0.01, max_value=100),
-    st.floats(min_value=0.01, max_value=1.0),
+    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=50),
 )
-def test_classify_depends_only_on_the_ratio(a, p, scale):
-    assume(a * scale > 0 and p * scale > 0)
-    assert classify(a, p) is classify(a * scale, p * scale)
+def test_classify_depends_only_on_the_ratio(a, p, j, k):
+    # Scaling an axis's sums and maximum together keeps its normalized values;
+    # scaling both sums together keeps their ratio.
+    assert classify(a, p, 100, 100) is classify(a * j, p * k, 100 * j, 100 * k)
+    assert classify(a, p, 100, 100) is classify(a * j, p * j, 100 * j, 100 * j)
+    assume(a * k <= 100 and p * k <= 100)
+    assert classify(a, p, 100, 100) is classify(a * k, p * k, 100, 100)
+
+
+def test_region_and_key_decisions_are_exact_at_boundaries():
+    # Active 5 of 6 and passive 5 of 18: normalized ratio exactly 3, which
+    # the float quotient 83.33.../27.77... misses by one unit in the last place.
+    scores = analyze(sums_table([5, 6], [5, 18]), AnalysisConfig(dominant_ratio=3, reactive_ratio=0.25))
+    assert scores[0].region is Region.DOMINANT
+    # Active 5 of 6 alone: normalized sum exactly 250/3, whose float is below it.
+    scores = analyze(sums_table([5, 6], [0, 1]), AnalysisConfig(key_threshold=Fraction(250, 3)))
+    assert scores[0].key
+
+
+def _oracle(active_sum, passive_sum, active_max, passive_max, dominant, reactive, key):
+    """Region and key flag from rational normalized values, straight from the definitions."""
+    an = Fraction(100 * active_sum, active_max) if active_max else Fraction(0)
+    pn = Fraction(100 * passive_sum, passive_max) if passive_max else Fraction(0)
+    if an == 0 and pn == 0:
+        region = Region.ISOLATED
+    elif pn == 0 or an / pn >= dominant:
+        region = Region.DOMINANT
+    elif an == 0 or an / pn <= reactive:
+        region = Region.REACTIVE
+    else:
+        region = Region.DYNAMIC
+    return region, an + pn >= key
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=2, max_size=12),
+    st.data(),
+)
+def test_decisions_match_rational_oracle_at_boundary_points(pairs, data):
+    # The thresholds are drawn from the factors' own exact ratios and
+    # normalized sums, so some factors sit exactly on each boundary.
+    active, passive = (list(axis) for axis in zip(*pairs))
+    active_max, passive_max = max(active), max(passive)
+    ratios = sorted({Fraction(a * passive_max, p * active_max) for a, p in pairs if a and p})
+    assume(len(ratios) >= 2)
+    low, high = sorted(data.draw(st.lists(st.sampled_from(ratios), min_size=2, max_size=2, unique=True)))
+    magnitudes = [
+        Fraction(100 * a, active_max or 1) + Fraction(100 * p, passive_max or 1) for a, p in pairs
+    ]
+    key = data.draw(st.sampled_from(magnitudes))
+    cfg = AnalysisConfig(dominant_ratio=high, reactive_ratio=low, key_threshold=key)
+    for score in analyze(sums_table(active, passive), cfg):
+        expected = _oracle(score.active_sum, score.passive_sum, active_max, passive_max, high, low, key)
+        assert (score.region, score.key) == expected
+        assert classify(score.active_sum, score.passive_sum, active_max, passive_max, cfg) is score.region
 
 
 def test_config_validation():
@@ -133,15 +186,14 @@ def test_config_rejects_non_finite_thresholds(field, value):
 
 
 def test_key_selection_threshold():
-    scores = analyze(sums_table([0, 1, 23], [24, 1, 20]))
+    table = sums_table([0, 1, 23], [24, 1, 20])
+    scores = analyze(table)
     by_id = {s.factor.id: s for s in scores}
     assert by_id[1].key  # combined norm 100
     assert not by_id[2].key  # combined norm near 8.5
-    assert select_key_factors(scores) == (True, False, True)
-    everything = select_key_factors(scores, AnalysisConfig(key_threshold=0))
-    assert all(everything)
-    nothing = select_key_factors(scores, AnalysisConfig(key_threshold=200))
-    assert not any(nothing)
+    assert [s.key for s in scores] == [True, False, True]
+    assert all(s.key for s in analyze(table, AnalysisConfig(key_threshold=0)))
+    assert not any(s.key for s in analyze(table, AnalysisConfig(key_threshold=200)))
 
 
 def test_key_uses_full_precision_not_display_values():

@@ -132,6 +132,27 @@ def test_analyze_rejects_non_finite_ratios(capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_analyze_reads_ratios_exactly_as_written(tmp_path, capsys):
+    # Factor 1's normalized ratio is (1/1) / (10/27) = 2.7 exactly; the float
+    # 2.7 lies above it and the float quotient of the norms below it.
+    sums_path = write(
+        tmp_path, "sums.csv", "id,category,name,active_sum,passive_sum\n1,component,a,1,10\n2,harm,h,0,27\n"
+    )
+    assert main(["analyze", "--from-sums", sums_path, "--dominant-ratio", "2.7"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0]["region"] == "dominant"
+
+
+def test_analyze_rejects_unreadable_and_out_of_range_numbers(capsys):
+    for value in ("abc", "1e-999999999", "1e400"):
+        code = main([
+            "analyze", "--from-sums", str(DATA / "table1_rank_consistent.csv"),
+            "--key-threshold", value,
+        ])
+        assert code == 2
+        assert f"invalid number: '{value}'" in capsys.readouterr().err
+
+
 def test_analyze_from_sums_warns_when_totals_do_not_conserve(tmp_path, capsys):
     sums_path = str(DATA / "table1_as_printed.csv")
     out = tmp_path / "report.csv"

@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 import pytest
 
 from corpus import chain_sets, mutate_text, random_chain_set
-from keyfactors.dsl import Severity, parse_document, serialize_document
+from keyfactors.dsl import (
+    _KEYWORD_RE,
+    _STEP_KEYWORDS,
+    Severity,
+    _escape_name,
+    _fast_step,
+    _parse_quoted_name,
+    parse_document,
+    serialize_document,
+)
 from keyfactors.model import ChainSet, ChainValidationError, FactorCategory, FailureChain
 
 C = FactorCategory
@@ -186,3 +195,69 @@ def test_diagnostics_are_deterministic():
     first = parse_document(doc)
     second = parse_document(doc)
     assert first == second
+
+
+# Names over quotes, backslashes, the letters of the escapes, blanks and non-ASCII text.
+FAST_PATH_ALPHABET = '"\\nrtx \t\u00a0äß€漢'
+
+
+@given(
+    st.sampled_from([c.value for c in C] + ["HARM", "Effect", "gizmo", "case"]),
+    st.text(alphabet=" \t\u00a0", max_size=2),
+    st.text(alphabet=FAST_PATH_ALPHABET, max_size=16),
+    st.sampled_from(['"', "", '" x', '"x"', '\\"', ' "\t']),
+    st.text(alphabet=FAST_PATH_ALPHABET, min_size=1, max_size=16).filter(lambda t: t.strip()),
+)
+def test_fast_path_agrees_with_the_scanner(keyword, gap, body, ending, name):
+    # Any line: the fast path either declines or accepts with the scanner's name.
+    stripped = f'{keyword}{gap}"{body}{ending}'.strip()
+    fast = _fast_step(stripped)
+    if fast is not None:
+        end = _KEYWORD_RE.match(stripped).end()
+        assert _parse_quoted_name(stripped[end:], 1, 1 + end) == (fast[1], None)
+        assert fast[0] is _STEP_KEYWORDS[keyword.casefold()]
+    # A line as the serializer writes it never leaves the fast path.
+    if keyword.casefold() in _STEP_KEYWORDS:
+        written = f'{keyword}{gap}"{_escape_name(name)}"'
+        assert _fast_step(written) == (_STEP_KEYWORDS[keyword.casefold()], name)
+
+
+INTAKE_DEFECTS = {
+    "unterminated_quote": ('  component "plug\nharm "h"\n', 3, 13, "unterminated quoted name"),
+    "bad_escape": ('  component "pl\\qug"\nharm "h"\n', 3, 16, "invalid escape '\\q' in quoted name"),
+    "unknown_category": ('\tgizmo "x"\nharm "h"\n', 3, 2, "unknown category 'gizmo'"),
+    "text_after_name": (
+        'component  "plug"   extra\nharm "h"\n', 3, 21, "unexpected text after the quoted name: 'extra'"
+    ),
+    "harm_not_last": (
+        'component "plug"\n  harm "burn"\naction "pull"\n',
+        4,
+        3,
+        "HarmNotTerminal: harm 'burn' at step 2 is not the final step",
+    ),
+    "self_transition": (
+        'component "Plug"\n   component " plug "\nharm "h"\n',
+        4,
+        4,
+        "SelfTransition: step 2 repeats the preceding factor ' plug '",
+    ),
+    "missing_harm": (
+        'component "plug"\n  action "pull"\n', 4, 3, "MissingHarm: final step must be a harm, got category 'action'"
+    ),
+    "too_short": (
+        '    harm "burn"\n',
+        3,
+        5,
+        "TooShort: chain has 1 step(s); at least one step must precede the terminal harm",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTAKE_DEFECTS))
+def test_each_intake_defect_keeps_its_exact_position(kind):
+    body, line, column, message = INTAKE_DEFECTS[kind]
+    chain_set, diagnostics = parse_document("alert: a\ncase: c\n" + body + "---\n" + HAIR_DRYER_BURN)
+    assert [c.case_label for c in chain_set] == ["burn"]
+    assert [(d.severity, d.line, d.column, d.message) for d in diagnostics] == [
+        (Severity.ERROR, line, column, message)
+    ]

@@ -13,7 +13,17 @@ from keyfactors.matrix import (
     merge,
     sums,
 )
-from keyfactors.model import ChainSet, ChainValidationError, FactorCategory, FailureChain
+from keyfactors.model import (
+    EMPTY_NAME,
+    HARM_NOT_TERMINAL,
+    MISSING_HARM,
+    SELF_TRANSITION,
+    TOO_SHORT,
+    ChainSet,
+    ChainValidationError,
+    FactorCategory,
+    FailureChain,
+)
 
 C = FactorCategory
 
@@ -23,6 +33,11 @@ def chain(*steps, alert="A1", case="case"):
 
 
 ABH = chain((C.COMPONENT, "A"), (C.EFFECT, "B"), (C.HARM, "H"))
+
+
+def cells_by_identity(m):
+    """Nonzero cells keyed by factor identities, independent of ordering."""
+    return {(m.factors[r].identity, m.factors[c].identity): n for (r, c), n in m.edges.items()}
 
 
 def test_single_chain_counts():
@@ -107,6 +122,32 @@ def test_invalid_chain_is_rejected_with_violations():
     assert violations[0].rule == "HarmNotTerminal"
 
 
+def test_every_invalid_chain_is_reported_in_full():
+    chains = ChainSet(
+        (
+            chain((C.HARM, "H")),
+            ABH,
+            chain((C.COMPONENT, "A"), (C.HARM, "H"), (C.ACTION, "X")),
+            chain((C.COMPONENT, "A"), (C.ACTION, "X")),
+            chain((C.COMPONENT, "A"), (C.COMPONENT, " a "), (C.HARM, "H")),
+            chain((C.COMPONENT, "  "), (C.HARM, "H")),
+            chain((C.HARM, "H"), (C.COMPONENT, " "), (C.ACTION, "x"), (C.ACTION, "X")),
+        )
+    )
+    with pytest.raises(ChainValidationError) as exc_info:
+        build_matrix(chains)
+    invalid = exc_info.value.invalid
+    assert invalid == tuple((i, tuple(validate_chain(c))) for i, c in enumerate(chains) if i != 1)
+    assert [[v.rule for v in violations] for _, violations in invalid] == [
+        [TOO_SHORT],
+        [HARM_NOT_TERMINAL],
+        [MISSING_HARM],
+        [SELF_TRANSITION],
+        [EMPTY_NAME],
+        [HARM_NOT_TERMINAL, EMPTY_NAME, SELF_TRANSITION],
+    ]
+
+
 def test_sums_single_chain():
     table = sums(build_matrix(ChainSet((ABH,))))
     assert table.active == (1, 1, 0)
@@ -140,7 +181,7 @@ def test_merge_total_is_additive_and_commutative_up_to_order(s1, s2):
     a, b = build_matrix(s1), build_matrix(s2)
     ab, ba = merge(a, b), merge(b, a)
     assert ab.total() == a.total() + b.total()
-    assert ab.cells_by_identity() == ba.cells_by_identity()
+    assert cells_by_identity(ab) == cells_by_identity(ba)
     assert {f.identity for f in ab.factors} == {f.identity for f in ba.factors}
 
 
@@ -149,7 +190,7 @@ def test_merge_is_associative_up_to_order(s1, s2, s3):
     a, b, c = (build_matrix(s) for s in (s1, s2, s3))
     left = merge(merge(a, b), c)
     right = merge(a, merge(b, c))
-    assert left.cells_by_identity() == right.cells_by_identity()
+    assert cells_by_identity(left) == cells_by_identity(right)
 
 
 @given(chain_sets())
@@ -175,8 +216,8 @@ def test_harm_factors_have_zero_active_sum(chain_set):
 
 @given(chain_sets())
 def test_appending_a_chain_never_decreases_cells(chain_set):
-    base = build_matrix(chain_set).cells_by_identity()
-    extended = build_matrix(ChainSet(chain_set.chains + (ABH,))).cells_by_identity()
+    base = cells_by_identity(build_matrix(chain_set))
+    extended = cells_by_identity(build_matrix(ChainSet(chain_set.chains + (ABH,))))
     for cell, value in base.items():
         assert extended[cell] >= value
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corpus import failure_chains
 from keyfactors.model import (
     EMPTY_NAME,
     HARM_NOT_TERMINAL,
@@ -13,7 +14,9 @@ from keyfactors.model import (
     Factor,
     FactorCategory,
     FailureChain,
+    _violations,
     normalize_name,
+    step_identities,
     validate_chain,
 )
 
@@ -119,3 +122,37 @@ def test_chain_set_counts_transitions():
     ch = chain((C.COMPONENT, "a"), (C.EFFECT, "b"), (C.HARM, "h"))
     assert ChainSet((ch, ch)).transitions() == 4
     assert ChainSet().transitions() == 0
+
+
+def _mutate_one_step(chain, kind, i):
+    steps = list(chain.steps)
+    i %= len(steps)
+    category, name = steps[i]
+    if kind == "delete":
+        del steps[i]
+    elif kind == "repeat":  # the same factor again, respelled
+        steps.insert(i + 1, (category, f"  {name.upper()} "))
+    elif kind == "blank":
+        steps[i] = (category, " \t ")
+    elif kind == "to_harm":
+        steps[i] = (C.HARM, name)
+    elif kind == "from_harm":
+        steps[i] = (C.EFFECT, name) if category is C.HARM else (category, name)
+    elif kind == "recategorize":
+        steps[i] = (C.ACTION if category is not C.ACTION else C.NOISE_FACTOR, name)
+    return FailureChain(chain.source_alert, chain.case_label, tuple(steps))
+
+
+@given(
+    failure_chains(),
+    st.sampled_from(["keep", "delete", "repeat", "blank", "to_harm", "from_harm", "recategorize"]),
+    st.integers(min_value=0, max_value=20),
+)
+def test_early_accept_agrees_with_the_full_check(chain, kind, i):
+    candidate = _mutate_one_step(chain, kind, i)
+    full = _violations(candidate)
+    idents = step_identities(candidate)
+    assert (idents is not None) == (full == [])
+    assert validate_chain(candidate) == full
+    if idents is not None:
+        assert idents == [(category, normalize_name(name)) for category, name in candidate.steps]
