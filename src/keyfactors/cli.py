@@ -368,7 +368,7 @@ def _write_atomic(path: Path, text: str) -> None:
             os.fchmod(handle.fileno(), _new_file_mode())
             handle.write(text)
         os.replace(tmp_name, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp_name)
         except OSError:

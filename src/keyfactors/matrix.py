@@ -8,7 +8,8 @@ was influenced).
 
 Merged failure networks are almost all zeros, so the matrix stores only
 its nonzero cells (edges). Building, summing, merging and walking it cost
-O(edges), not O(factors²); only the dense CSV export touches every cell.
+O(edges), not O(factors²). The dense CSV export still writes factors² cells,
+but as comma runs between the nonzero cells, in O(factors + edges) steps.
 """
 
 from __future__ import annotations

@@ -35,6 +35,10 @@ class FactorCategory(Enum):
     EFFECT = "effect"
     HARM = "harm"
 
+    # Members are singletons compared by identity; object.__hash__ runs in C,
+    # where Enum.__hash__ is a Python call on every identity-keyed dict lookup.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "FactorCategory":
         key = " ".join(text.split()).casefold()

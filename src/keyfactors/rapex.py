@@ -76,15 +76,18 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
             )
         if "\n" in alert or "\r" in alert:
             raise MalformedRecordError(index, "alert number cannot span lines")
-        risks = _parse_risks(raw.get(field_map["risk"]), index)
-        records.append(
-            AlertRecord(
-                alert_number=alert,
-                product=str(raw.get(field_map["product"], "") or ""),
-                risk_types=risks,
-                description=str(raw.get(field_map["description"], "") or ""),
-            )
+        record = AlertRecord(
+            alert_number=alert,
+            product=str(raw.get(field_map["product"], "") or ""),
+            risk_types=_parse_risks(raw.get(field_map["risk"]), index),
+            description=str(raw.get(field_map["description"], "") or ""),
         )
+        # JSON escapes can spell lone surrogates, which no output file can hold.
+        try:
+            "".join((record.alert_number, record.product, *record.risk_types, record.description)).encode()
+        except UnicodeEncodeError as exc:
+            raise MalformedRecordError(index, f"text cannot be encoded as UTF-8: {exc.reason}") from None
+        records.append(record)
     return records
 
 

@@ -3,12 +3,17 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from keyfactors import cli
 from keyfactors.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 CHAIN_FILES = [str(DATA / "chains" / name) for name in ("burn.chains", "shock.chains", "poisoning.chains")]
 
 BAD_HARM_DOC = 'alert: a\ncase: c\ncomponent "plug"\nharm "burn"\naction "user pulls"\n'
@@ -282,6 +287,20 @@ def test_import_rapex_malformed_record_exits_one(tmp_path, capsys):
     assert "record 2" in capsys.readouterr().err
 
 
+def test_import_rapex_lone_surrogate_exits_one_and_writes_nothing(tmp_path, capsys):
+    alerts = write(tmp_path, "alerts.json", '[{"alertNumber": "A1", "risk": "burn\\ud800"}]')
+    out_dir = tmp_path / "out"
+    assert main(["import-rapex", alerts, "-d", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: record 1: ")
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
+def test_write_atomic_removes_its_temp_file_on_any_error(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(tmp_path / "out.chains", "burn\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_import_rapex_invalid_json_exits_two(tmp_path, capsys):
     alerts = write(tmp_path, "alerts.json", "{not json")
     assert main(["import-rapex", alerts, "-d", str(tmp_path / "out")]) == 2
@@ -320,3 +339,19 @@ def test_unknown_command_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_case_study_script_writes_every_documented_output(tmp_path):
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_case_study.py"), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    for name in (
+        "report_as_printed.csv", "report_rank_consistent.csv", "scatter.svg",
+        "demo_matrix.csv", "demo_network.dot",
+    ):
+        assert (out / name).stat().st_size > 0, name
+    assert list((out / "skeletons").glob("*.chains"))

@@ -1,7 +1,8 @@
 import csv
 import io
 
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from corpus import chain_sets
 from keyfactors.analysis import AnalysisConfig, analyze, competition_rank
@@ -12,7 +13,7 @@ from keyfactors.emit import (
     export_report_csv,
     render_scatter_svg,
 )
-from keyfactors.matrix import SumsTable, build_matrix, sums
+from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, sums
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
 
 C = FactorCategory
@@ -75,6 +76,57 @@ def test_matrix_csv_round_trips_counts_and_sums(chain_set):
     assert active == list(table.active)
     if m.factors:
         assert passive == list(table.passive)
+
+
+def reference_matrix_csv(matrix, table, active_ranks, passive_ranks):
+    """Oracle: every cell, empty or not, formatted by csv.writer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    labels = [factor.label for factor in matrix.factors]
+    writer.writerow([""] + labels + ["active_sum", "active_rank"])
+    for i, factor in enumerate(matrix.factors):
+        cells = [""] * matrix.size
+        for (r, c), value in matrix.edges.items():
+            if r == i:
+                cells[c] = value
+        writer.writerow([factor.label] + cells + [table.active[i], active_ranks[i]])
+    if matrix.factors:
+        writer.writerow(["passive_sum"] + list(table.passive) + ["", ""])
+        writer.writerow(["passive_rank"] + list(passive_ranks) + ["", ""])
+    return buffer.getvalue()
+
+
+label_texts = st.text(
+    alphabet=st.sampled_from([",", '"', "\n", "\r", " ", "\t", "a", "Z", "ä", "日", "\u00a0"]), max_size=8
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    categories = draw(st.lists(st.sampled_from(C), min_size=n, max_size=n))
+    names = draw(st.lists(label_texts, min_size=n, max_size=n))
+    factors = tuple(
+        Factor(category, name, name, i) for i, (category, name) in enumerate(zip(categories, names), start=1)
+    )
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    edges = draw(st.dictionaries(cells, st.integers(min_value=1, max_value=10**6), max_size=n * n))
+    return RelationshipMatrix(factors, edges)
+
+
+def _factors(*names):
+    return tuple(Factor(C.COMPONENT, name, name, i) for i, name in enumerate(names, start=1))
+
+
+@given(sparse_matrices())
+@example(RelationshipMatrix((), {}))
+@example(RelationshipMatrix(_factors("x"), {}))
+@example(RelationshipMatrix(_factors(" only, \"one\"\n"), {(0, 0): 7}))
+@example(RelationshipMatrix(_factors("a", "b\r", "c"), {(0, 0): 1, (0, 2): 12, (2, 0): 3, (2, 2): 5}))
+def test_matrix_csv_is_byte_identical_to_the_per_cell_writer(m):
+    table = sums(m)
+    ranks = competition_rank(table.active), competition_rank(table.passive)
+    assert export_matrix_csv(m, table, *ranks) == reference_matrix_csv(m, table, *ranks)
 
 
 def test_report_csv_contains_case_study_row():

@@ -110,6 +110,10 @@ def test_factor_identity_is_category_plus_key():
     assert a.identity != c.identity
 
 
+def test_category_hashes_by_identity():
+    assert all(hash(c) == object.__hash__(c) for c in C)
+
+
 def test_chain_strips_header_fields_and_is_immutable():
     ch = FailureChain("  A1 ", " burn\t", ((C.COMPONENT, "plug"), (C.HARM, "burn")))
     assert ch.source_alert == "A1"

@@ -112,6 +112,14 @@ def test_parse_alert_records_flags_malformed_records(record):
     assert exc_info.value.index == 2
 
 
+@pytest.mark.parametrize("field", ["alertNumber", "product", "risk", "description"])
+def test_parse_alert_records_rejects_lone_surrogates(field):
+    record = {"alertNumber": "A1", "risk": "burn", field: "burn\ud800"}
+    with pytest.raises(MalformedRecordError, match="UTF-8") as exc_info:
+        parse_alert_records(json.dumps([{"alertNumber": "ok"}, record]))
+    assert exc_info.value.index == 2
+
+
 def test_alert_record_requires_nonempty_number():
     with pytest.raises(ValueError):
         AlertRecord("   ")
