@@ -4,89 +4,67 @@ Parse analyst-authored failure sequence chains, aggregate them into a
 weighted influence-factor relationship matrix, score every factor
 (active/passive sums, normalized values, competition ranks, region,
 key flag), and export reports, scatter diagrams, and network graphs.
+
+Public names resolve on first use (PEP 562), so ``import keyfactors``
+loads no submodule and a command pays only for the layers it runs.
 """
 
-from keyfactors.analysis import (
-    AnalysisConfig,
-    FactorScore,
-    Region,
-    analyze,
-    classify,
-    competition_rank,
-    format_display,
-    normalize_sums,
-)
-from keyfactors.dsl import Diagnostic, Severity, parse_document, serialize_document
-from keyfactors.emit import (
-    PlotLayout,
-    export_dot,
-    export_matrix_csv,
-    export_report_csv,
-    render_scatter_svg,
-)
-from keyfactors.matrix import (
-    RelationshipMatrix,
-    SumsTable,
-    brute_force_sums,
-    build_matrix,
-    merge,
-    sums,
-)
-from keyfactors.model import (
-    ChainSet,
-    ChainValidationError,
-    EmptyNameError,
-    Factor,
-    FactorCategory,
-    FailureChain,
-    Violation,
-    normalize_name,
-    validate_chain,
-)
-from keyfactors.rapex import (
-    AlertRecord,
-    MalformedRecordError,
-    import_rapex,
-    parse_alert_records,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlertRecord",
-    "AnalysisConfig",
-    "ChainSet",
-    "ChainValidationError",
-    "Diagnostic",
-    "EmptyNameError",
-    "Factor",
-    "FactorCategory",
-    "FactorScore",
-    "FailureChain",
-    "MalformedRecordError",
-    "PlotLayout",
-    "Region",
-    "RelationshipMatrix",
-    "Severity",
-    "SumsTable",
-    "Violation",
-    "analyze",
-    "brute_force_sums",
-    "build_matrix",
-    "classify",
-    "competition_rank",
-    "export_dot",
-    "export_matrix_csv",
-    "export_report_csv",
-    "format_display",
-    "import_rapex",
-    "merge",
-    "normalize_name",
-    "normalize_sums",
-    "parse_alert_records",
-    "parse_document",
-    "render_scatter_svg",
-    "serialize_document",
-    "sums",
-    "validate_chain",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "AlertRecord": "rapex",
+    "AnalysisConfig": "analysis",
+    "ChainSet": "model",
+    "ChainValidationError": "model",
+    "Diagnostic": "dsl",
+    "EmptyNameError": "model",
+    "Factor": "model",
+    "FactorCategory": "model",
+    "FactorScore": "analysis",
+    "FailureChain": "model",
+    "MalformedRecordError": "rapex",
+    "PlotLayout": "emit",
+    "Region": "analysis",
+    "RelationshipMatrix": "matrix",
+    "Severity": "dsl",
+    "SumsTable": "matrix",
+    "Violation": "model",
+    "analyze": "analysis",
+    "brute_force_sums": "matrix",
+    "build_matrix": "matrix",
+    "classify": "analysis",
+    "competition_rank": "analysis",
+    "export_dot": "emit",
+    "export_matrix_csv": "emit",
+    "export_report_csv": "emit",
+    "format_display": "analysis",
+    "import_rapex": "rapex",
+    "merge": "matrix",
+    "normalize_name": "model",
+    "normalize_sums": "analysis",
+    "parse_alert_records": "rapex",
+    "parse_document": "dsl",
+    "render_scatter_svg": "emit",
+    "serialize_document": "dsl",
+    "sums": "matrix",
+    "validate_chain": "model",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,9 @@ Exit codes: 0 success, 1 validation/content error, 2 IO/format error.
 Without -o, output goes to standard output; file writes are atomic
 (temp file plus rename), so rerunning with unchanged inputs rewrites
 identical bytes.
+
+Each handler imports the layers it runs, so `validate` and `import-rapex`
+never load the matrix, analysis or emit layers.
 """
 
 from __future__ import annotations
@@ -22,31 +25,29 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import os
 import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, TextIO
 
-from keyfactors.analysis import AnalysisConfig, analyze, competition_rank
-from keyfactors.dsl import Diagnostic, Severity, parse_document
-from keyfactors.emit import (
-    PlotLayout,
-    export_dot,
-    export_matrix_csv,
-    export_report_csv,
-    render_scatter_svg,
-)
-from keyfactors.matrix import SumsTable, build_matrix, sums
-from keyfactors.model import ChainSet, Factor, FactorCategory, normalize_name
-from keyfactors.rapex import (
-    DEFAULT_FIELDS,
-    MalformedRecordError,
-    import_rapex,
-    parse_alert_records,
-)
+from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
+
+if TYPE_CHECKING:
+    from keyfactors.analysis import AnalysisConfig
+    from keyfactors.dsl import Diagnostic
+    from keyfactors.matrix import SumsTable
 
 SUMS_COLUMNS = ["id", "category", "name", "active_sum", "passive_sum"]
+
+# Lines per write of a diagnostics stream: few system calls, while only one
+# chunk of a long stream is held as text at a time.
+_LINES_PER_WRITE = 1000
+# Characters per write of an output text, so that TextIOWrapper never
+# encodes a whole multi-megabyte output into one bytes object.
+_CHARS_PER_WRITE = 1 << 18
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,6 +150,8 @@ def _number(text: str) -> Decimal:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from keyfactors.dsl import Severity, parse_document
+
     if not args.files:
         return _usage_error(args, "at least one chain file is required")
     failed = False
@@ -163,6 +166,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from keyfactors.analysis import competition_rank
+    from keyfactors.emit import export_matrix_csv
+    from keyfactors.matrix import build_matrix, sums
+
     chains = _load_chains(args)
     if chains is None:
         return 1
@@ -174,6 +181,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from keyfactors.emit import export_report_csv
+
     scores, code = _scores_from_args(args)
     if scores is None:
         return code
@@ -182,6 +191,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from keyfactors.emit import PlotLayout, render_scatter_svg
+
     scores, code = _scores_from_args(args)
     if scores is None:
         return code
@@ -193,6 +204,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from keyfactors.emit import export_dot
+    from keyfactors.matrix import build_matrix
+
     chains = _load_chains(args)
     if chains is None:
         return 1
@@ -201,6 +215,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_rapex(args: argparse.Namespace) -> int:
+    from keyfactors.rapex import MalformedRecordError, import_rapex, parse_alert_records
+
     text = _read_text(args.alerts)
     fields = {key: getattr(args, f"field_{key}") for key in DEFAULT_FIELDS}
     try:
@@ -212,8 +228,7 @@ def _cmd_import_rapex(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     files, warnings = import_rapex(records)
-    for warning in warnings:
-        print(f"{args.alerts}:record {warning.line}: warning: {warning.message}", file=sys.stderr)
+    _write_lines(f"{args.alerts}:record {w.line}: warning: {w.message}\n" for w in warnings)
     if args.strict and warnings:
         return 1
     out_dir = Path(args.out_dir)
@@ -226,6 +241,8 @@ def _cmd_import_rapex(args: argparse.Namespace) -> int:
 
 
 def _scores_from_args(args: argparse.Namespace):
+    from keyfactors.analysis import analyze
+
     cfg, error = _analysis_config(args)
     if cfg is None:
         return None, error
@@ -253,6 +270,8 @@ def _scores_from_args(args: argparse.Namespace):
 
 
 def _analysis_config(args: argparse.Namespace) -> tuple[AnalysisConfig | None, int]:
+    from keyfactors.analysis import AnalysisConfig
+
     try:
         return (
             AnalysisConfig(
@@ -273,6 +292,8 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
     Prints diagnostics as they are found; returns None when any error
     (or, under --strict, any warning) occurred.
     """
+    from keyfactors.dsl import Severity, parse_document
+
     if not args.files:
         _usage_error(args, "at least one chain file is required")
         return None
@@ -292,8 +313,19 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
 
 
 def _print_diagnostics(path: str, diagnostics: list[Diagnostic]) -> None:
-    for d in diagnostics:
-        print(f"{path}:{d.line}:{d.column}: {d.severity.value}: {d.message}", file=sys.stderr)
+    _write_lines(f"{path}:{d.line}:{d.column}: {d.severity.value}: {d.message}\n" for d in diagnostics)
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write newline-terminated lines to stderr, _LINES_PER_WRITE at a time.
+
+    stderr flushes at every newline, so print() costs a system call per
+    line (two when unbuffered); joining every line at once would hold the
+    whole stream in memory.
+    """
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, _LINES_PER_WRITE)):
+        sys.stderr.write(chunk)
 
 
 def _usage_error(args: argparse.Namespace, message: str, code: int = 1) -> int:
@@ -310,6 +342,8 @@ def _read_text(path: str) -> str:
 
 def _read_sums_csv(path: str) -> SumsTable:
     """Load a published sums table (id, category, name, active_sum, passive_sum)."""
+    from keyfactors.matrix import SumsTable
+
     reader = csv.DictReader(io.StringIO(_read_text(path)))
     missing = [c for c in SUMS_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
@@ -347,9 +381,14 @@ def _read_sums_csv(path: str) -> SumsTable:
 
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
     else:
         _write_atomic(Path(output), text)
+
+
+def _write_text(handle: TextIO, text: str) -> None:
+    for start in range(0, len(text), _CHARS_PER_WRITE):
+        handle.write(text[start : start + _CHARS_PER_WRITE])
 
 
 @functools.cache
@@ -366,7 +405,7 @@ def _write_atomic(path: Path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             # mkstemp creates the file as 0600; give it the mode open() would have.
             os.fchmod(handle.fileno(), _new_file_mode())
-            handle.write(text)
+            _write_text(handle, text)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -256,3 +256,15 @@ def _violations(chain: FailureChain) -> list[Violation]:
 
     violations.sort(key=lambda v: v.step)
     return violations
+
+
+# Record field holding each part of a safety alert, by role. The alert
+# importer (rapex) reads records through this map; it lives here so that
+# building the command-line parser, which offers one option per role, does
+# not import the importer.
+DEFAULT_FIELDS = {
+    "alert": "alertNumber",
+    "product": "product",
+    "risk": "risk",
+    "description": "description",
+}

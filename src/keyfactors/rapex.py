@@ -14,13 +14,7 @@ import re
 from dataclasses import dataclass
 
 from keyfactors.dsl import Diagnostic, Severity, _escape_name
-
-DEFAULT_FIELDS = {
-    "alert": "alertNumber",
-    "product": "product",
-    "risk": "risk",
-    "description": "description",
-}
+from keyfactors.model import DEFAULT_FIELDS
 
 UNSPECIFIED_CASE = "unspecified"
 

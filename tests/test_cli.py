@@ -19,6 +19,18 @@ CHAIN_FILES = [str(DATA / "chains" / name) for name in ("burn.chains", "shock.ch
 BAD_HARM_DOC = 'alert: a\ncase: c\ncomponent "plug"\nharm "burn"\naction "user pulls"\n'
 
 
+class WriteLog(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -322,6 +334,36 @@ def test_import_rapex_duplicate_pair_warns(tmp_path, capsys):
     assert main(["import-rapex", "--strict", alerts, "-d", str(out_dir)]) == 1
 
 
+def test_import_rapex_writes_thousands_of_warnings_in_chunks(tmp_path, monkeypatch):
+    records = [{"alertNumber": "A1", "risk": "burn"}] * 2_501
+    alerts = write(tmp_path, "alerts.json", json.dumps(records))
+    expected = "".join(
+        f"{alerts}:record {i}: warning: duplicate alert/risk pair ('A1', 'burn'); skipped\n"
+        for i in range(2, 2_502)
+    )
+    for argv, code in ((["import-rapex"], 0), (["import-rapex", "--strict"], 1)):
+        stderr = WriteLog()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main([*argv, alerts, "-d", str(tmp_path / "out")]) == code
+        assert stderr.getvalue() == expected
+        assert len(stderr.writes) == 3
+
+
+def test_outputs_are_written_in_slices_that_round_trip(tmp_path, monkeypatch):
+    n = cli._CHARS_PER_WRITE
+    # Non-ASCII characters on both sides of each slice boundary.
+    text = "x" * (n - 1) + "é€" + "y" * (n - 2) + "😀ß\n" + "z" * 5
+    assert (text[n - 1 : n + 1], text[2 * n - 1 : 2 * n + 1]) == ("é€", "😀ß")
+    out = tmp_path / "out.csv"
+    cli._write_output(text, str(out))
+    assert out.read_bytes() == text.encode("utf-8")
+    stdout = WriteLog()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._write_output(text, None)
+    assert stdout.getvalue() == text
+    assert stdout.writes == [n, n, len(text) - 2 * n]
+
+
 def test_import_rapex_custom_field_names(tmp_path):
     alerts = write(tmp_path, "alerts.json", json.dumps([{"ref": "A9", "risks": "cut"}]))
     out_dir = tmp_path / "out"
@@ -355,3 +397,36 @@ def test_case_study_script_writes_every_documented_output(tmp_path):
     ):
         assert (out / name).stat().st_size > 0, name
     assert list((out / "skeletons").glob("*.chains"))
+
+
+# Prints the keyfactors modules loaded after running the CLI on its arguments.
+MODULE_PROBE = (
+    "import sys\n"
+    "from keyfactors.cli import main\n"
+    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('keyfactors')))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "layers"),
+    [
+        ([], []),
+        (["validate", *CHAIN_FILES], ["dsl"]),
+        (["analyze", *CHAIN_FILES, "-o", "{tmp}/report.csv"], ["analysis", "dsl", "emit", "matrix"]),
+        (
+            ["analyze", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/report.csv"],
+            ["analysis", "emit", "matrix"],
+        ),
+        (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["dsl", "rapex"]),
+    ],
+    ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    result = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.splitlines()[-1].split()
+    assert loaded == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])

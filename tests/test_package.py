@@ -1,0 +1,52 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import keyfactors
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_name_is_the_object_its_submodule_defines():
+    for name in keyfactors.__all__:
+        value = getattr(keyfactors, name)
+        assert value.__module__.startswith("keyfactors."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(keyfactors.__all__) <= set(dir(keyfactors))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        keyfactors.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from keyfactors import *", namespace)
+    for name in keyfactors.__all__:
+        assert namespace[name] is getattr(keyfactors, name), name
+
+
+def test_submodules_still_import_from_the_package():
+    from keyfactors import emit
+
+    assert emit is sys.modules["keyfactors.emit"]
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    probe = (
+        "import sys, keyfactors\n"
+        "before = [m for m in sys.modules if m.startswith('keyfactors.')]\n"
+        "keyfactors.analyze\n"
+        "print(before, 'keyfactors.analysis' in sys.modules, 'analyze' in vars(keyfactors))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[] True True\n"
