@@ -26,7 +26,6 @@ _EXPORTS = {
     "FactorScore": "analysis",
     "FailureChain": "model",
     "MalformedRecordError": "rapex",
-    "PlotLayout": "emit",
     "Region": "analysis",
     "RelationshipMatrix": "matrix",
     "Severity": "dsl",
@@ -40,7 +39,7 @@ _EXPORTS = {
     "export_dot": "emit",
     "export_matrix_csv": "emit",
     "export_report_csv": "emit",
-    "format_display": "analysis",
+    "format_display": "emit",
     "import_rapex": "rapex",
     "merge": "matrix",
     "normalize_name": "model",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import Decimal
 from enum import Enum
 from typing import Sequence
 
@@ -31,7 +31,7 @@ class Region(Enum):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Thresholds and rounding rules for classification and key selection.
+    """Thresholds for classification and key selection.
 
     dominant_ratio / reactive_ratio bound the normalized active:passive
     ratio; key_threshold applies to active_norm + passive_norm. A
@@ -43,7 +43,6 @@ class AnalysisConfig:
     dominant_ratio: float | Decimal = 2.0
     reactive_ratio: float | Decimal = 0.5
     key_threshold: float | Decimal = 75.0
-    display_decimals: int = 1
     # (numerator, denominator) of each threshold above, denominator > 0.
     _exact: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
@@ -57,8 +56,6 @@ class AnalysisConfig:
             raise ValueError("reactive_ratio must be below dominant_ratio")
         if not 0 <= self.key_threshold <= 200:
             raise ValueError("key_threshold must lie in [0, 200]")
-        if self.display_decimals < 0:
-            raise ValueError("display_decimals must be >= 0")
         object.__setattr__(self, "_exact", tuple(t.as_integer_ratio() for t in thresholds))
 
 
@@ -99,9 +96,7 @@ def competition_rank(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(first_position[value] for value in values)
 
 
-def classify(
-    active_sum: int, passive_sum: int, active_max: int, passive_max: int, cfg: AnalysisConfig | None = None
-) -> Region:
+def classify(active_sum: int, passive_sum: int, active_max: int, passive_max: int, cfg: AnalysisConfig) -> Region:
     """Assign the region for one factor from its sums and each axis's maximum.
 
     The normalized ratio (active_sum / active_max) / (passive_sum /
@@ -109,7 +104,6 @@ def classify(
     cross-multiplication, so a factor on a boundary lands on it; both
     boundaries are inclusive.
     """
-    cfg = cfg or AnalysisConfig()
     if not (0 <= active_sum <= active_max and 0 <= passive_sum <= passive_max):
         raise ValueError("sums must lie in [0, axis maximum]")
     if active_sum == 0 and passive_sum == 0:
@@ -165,9 +159,3 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
         )
         for i, factor in enumerate(table.factors)
     )
-
-
-def format_display(value: float, decimals: int = 1) -> str:
-    """Fixed-decimals text form of a value, rounded half away from zero as printed reports are."""
-    exponent = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(value))).quantize(exponent, rounding=ROUND_HALF_UP))

@@ -10,13 +10,15 @@ Commands::
     keyfactors dot FILE... [-o OUT]             failure network in DOT
     keyfactors import-rapex ALERTS.json -d DIR  skeleton .chains files
 
-Exit codes: 0 success, 1 validation/content error, 2 IO/format error.
-Without -o, output goes to standard output; file writes are atomic
-(temp file plus rename), so rerunning with unchanged inputs rewrites
-identical bytes.
+Exit codes: 0 success, 1 validation/content error, 2 IO/format error. A
+standard output closed early (``keyfactors matrix ... | head``) ends the
+run quietly with exit 2. Without -o, output goes to standard output;
+file writes are atomic (temp file plus rename), so rerunning with
+unchanged inputs rewrites identical bytes.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
-never load the matrix, analysis or emit layers.
+never load the matrix, analysis or emit layers, and `dot` never loads
+analysis.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, TextIO
 
 from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
 
 if TYPE_CHECKING:
-    from keyfactors.analysis import AnalysisConfig
-    from keyfactors.dsl import Diagnostic
+    from keyfactors.analysis import AnalysisConfig, FactorScore
     from keyfactors.matrix import SumsTable
 
 SUMS_COLUMNS = ["id", "category", "name", "active_sum", "passive_sum"]
@@ -57,7 +58,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone. With stdout on devnull, the flush at
+        # shutdown cannot fail again (Python docs, signal module, SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -150,19 +161,7 @@ def _number(text: str) -> Decimal:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from keyfactors.dsl import Severity, parse_document
-
-    if not args.files:
-        return _usage_error(args, "at least one chain file is required")
-    failed = False
-    for path in args.files:
-        _, diagnostics = parse_document(_read_text(path))
-        _print_diagnostics(path, diagnostics)
-        if any(d.severity is Severity.ERROR for d in diagnostics):
-            failed = True
-        elif args.strict and diagnostics:
-            failed = True
-    return 1 if failed else 0
+    return 1 if _load_chains(args) is None else 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -183,24 +182,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from keyfactors.emit import export_report_csv
 
-    scores, code = _scores_from_args(args)
-    if scores is None:
-        return code
-    _write_output(export_report_csv(scores), args.output)
-    return 0
+    return _write_scores(args, lambda scores, _: export_report_csv(scores))
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from keyfactors.emit import PlotLayout, render_scatter_svg
+    from keyfactors.emit import render_scatter_svg
 
-    scores, code = _scores_from_args(args)
-    if scores is None:
-        return code
-    cfg, error = _analysis_config(args)
-    if cfg is None:
-        return error
-    _write_output(render_scatter_svg(scores, cfg, PlotLayout()), args.output)
-    return 0
+    return _write_scores(args, render_scatter_svg)
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
@@ -225,8 +213,7 @@ def _cmd_import_rapex(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(f"error: {exc}") from None
     files, warnings = import_rapex(records)
     _write_lines(f"{args.alerts}:record {w.line}: warning: {w.message}\n" for w in warnings)
     if args.strict and warnings:
@@ -240,50 +227,32 @@ def _cmd_import_rapex(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scores_from_args(args: argparse.Namespace):
-    from keyfactors.analysis import analyze
+def _write_scores(args: argparse.Namespace, render: Callable[[tuple[FactorScore, ...], AnalysisConfig], str]) -> int:
+    """Score the chain files or the sums table, then write what render makes of the scores."""
+    from keyfactors.analysis import AnalysisConfig, analyze
 
-    cfg, error = _analysis_config(args)
-    if cfg is None:
-        return None, error
+    try:
+        cfg = AnalysisConfig(args.dominant_ratio, args.reactive_ratio, args.key_threshold)
+    except ValueError as exc:
+        raise _InputError(f"error: {exc}") from None
     if args.from_sums and args.files:
-        return None, _usage_error(args, "--from-sums cannot be combined with chain files", code=2)
+        return _usage_error(args, "--from-sums cannot be combined with chain files", code=2)
     if args.from_sums:
-        try:
-            table = _read_sums_csv(args.from_sums)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None, 2
-        if table.total_active() != table.total_passive():
+        data = _read_sums_csv(args.from_sums)
+        if data.total_active() != data.total_passive():
             print(
-                f"{args.from_sums}: warning: total active sum {table.total_active()} "
-                f"!= total passive sum {table.total_passive()}",
+                f"{args.from_sums}: warning: total active sum {data.total_active()} "
+                f"!= total passive sum {data.total_passive()}",
                 file=sys.stderr,
             )
             if args.strict:
-                return None, 1
-        return analyze(table, cfg), 0
-    chains = _load_chains(args)
-    if chains is None:
-        return None, 1
-    return analyze(chains, cfg), 0
-
-
-def _analysis_config(args: argparse.Namespace) -> tuple[AnalysisConfig | None, int]:
-    from keyfactors.analysis import AnalysisConfig
-
-    try:
-        return (
-            AnalysisConfig(
-                dominant_ratio=getattr(args, "dominant_ratio", 2.0),
-                reactive_ratio=getattr(args, "reactive_ratio", 0.5),
-                key_threshold=getattr(args, "key_threshold", 75.0),
-            ),
-            0,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+                return 1
+    else:
+        data = _load_chains(args)
+        if data is None:
+            return 1
+    _write_output(render(analyze(data, cfg), cfg), args.output)
+    return 0
 
 
 def _load_chains(args: argparse.Namespace) -> ChainSet | None:
@@ -301,7 +270,7 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
     combined: list = []
     for path in args.files:
         chain_set, diagnostics = parse_document(_read_text(path))
-        _print_diagnostics(path, diagnostics)
+        _write_lines(f"{path}:{d.line}:{d.column}: {d.severity.value}: {d.message}\n" for d in diagnostics)
         if any(d.severity is Severity.ERROR for d in diagnostics):
             failed = True
         elif args.strict and diagnostics:
@@ -310,10 +279,6 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
     if failed:
         return None
     return ChainSet(tuple(combined))
-
-
-def _print_diagnostics(path: str, diagnostics: list[Diagnostic]) -> None:
-    _write_lines(f"{path}:{d.line}:{d.column}: {d.severity.value}: {d.message}\n" for d in diagnostics)
 
 
 def _write_lines(lines: Iterable[str]) -> None:
@@ -334,10 +299,27 @@ def _usage_error(args: argparse.Namespace, message: str, code: int = 1) -> int:
     return code
 
 
+class _InputError(Exception):
+    """An input file or option value the program cannot use: exit 2 after the message line."""
+
+
 def _read_text(path: str) -> str:
     # utf-8-sig drops the byte order mark that spreadsheet exports write.
-    with open(path, encoding="utf-8-sig") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        # The decoder counts positions from the start of its chunk, so the
+        # whole file is decoded once more to find the first bad byte.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines as text mode reads them (universal newlines), columns in characters.
+            text = data[: exc.start].decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+            line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+            raise _InputError(f"{path}:{line}:{column}: error: not UTF-8 (byte 0x{data[exc.start]:02X})") from None
+        raise
 
 
 def _read_sums_csv(path: str) -> SumsTable:
@@ -345,9 +327,13 @@ def _read_sums_csv(path: str) -> SumsTable:
     from keyfactors.matrix import SumsTable
 
     reader = csv.DictReader(io.StringIO(_read_text(path)))
-    missing = [c for c in SUMS_COLUMNS if c not in (reader.fieldnames or [])]
+    header = reader.fieldnames or []
+    missing = [c for c in SUMS_COLUMNS if c not in header]
     if missing:
-        raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+        hint = ""
+        if set(SUMS_COLUMNS) <= set(",".join(header).split(";")):
+            hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
+        raise _InputError(f"error: {path}: missing columns: {', '.join(missing)}{hint}")
     factors: list[Factor] = []
     active: list[int] = []
     passive: list[int] = []
@@ -361,16 +347,16 @@ def _read_sums_csv(path: str) -> SumsTable:
             if factor_id <= 0 or active_sum < 0 or passive_sum < 0:
                 raise ValueError
         except (TypeError, ValueError):
-            raise ValueError(f"{path}: line {row_number}: id must be positive, sums non-negative") from None
+            raise _InputError(f"error: {path}: line {row_number}: id must be positive, sums non-negative") from None
         try:
             category = FactorCategory.parse(row["category"] or "")
             key = normalize_name(row["name"] or "")
         except ValueError as exc:
-            raise ValueError(f"{path}: line {row_number}: {exc}") from None
+            raise _InputError(f"error: {path}: line {row_number}: {exc}") from None
         if factor_id in seen_ids:
-            raise ValueError(f"{path}: line {row_number}: duplicate id {factor_id}")
+            raise _InputError(f"error: {path}: line {row_number}: duplicate id {factor_id}")
         if (category, key) in seen_identities:
-            raise ValueError(f"{path}: line {row_number}: duplicate factor {row['name']!r}")
+            raise _InputError(f"error: {path}: line {row_number}: duplicate factor {row['name']!r}")
         seen_ids.add(factor_id)
         seen_identities.add((category, key))
         factors.append(Factor(category, row["name"].strip(), key, factor_id))

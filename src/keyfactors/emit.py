@@ -10,37 +10,30 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Decimal
 from types import SimpleNamespace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from keyfactors.analysis import AnalysisConfig, FactorScore, Region, format_display
 from keyfactors.matrix import RelationshipMatrix, SumsTable
 from keyfactors.model import FactorCategory
 
+if TYPE_CHECKING:
+    from keyfactors.analysis import AnalysisConfig, FactorScore
 
-@dataclass(frozen=True)
-class PlotLayout:
-    """Canvas geometry for the active-passive scatter plot."""
+# Scatter canvas: a square of _CANVAS px with a _MARGIN px border around the plot area.
+_CANVAS = 800
+_MARGIN = 60
+_MARKER_SIZE = 5.0
+_FONT_SIZE = 11
 
-    width: int = 800
-    height: int = 800
-    margin: int = 60
-    marker_size: float = 5.0
-    font_size: int = 11
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("canvas dimensions must be positive")
-        if self.margin < 0 or 2 * self.margin >= min(self.width, self.height):
-            raise ValueError("margins must be non-negative and leave a drawable area")
+def x_pixel(passive_norm: float) -> float:
+    return _MARGIN + passive_norm / 100.0 * (_CANVAS - 2 * _MARGIN)
 
-    def x_pixel(self, passive_norm: float) -> float:
-        return self.margin + passive_norm / 100.0 * (self.width - 2 * self.margin)
 
-    def y_pixel(self, active_norm: float) -> float:
-        # y axis inverted: normalized origin sits at the bottom-left
-        return self.height - self.margin - active_norm / 100.0 * (self.height - 2 * self.margin)
+def y_pixel(active_norm: float) -> float:
+    # y axis inverted: normalized origin sits at the bottom-left
+    return _CANVAS - _MARGIN - active_norm / 100.0 * (_CANVAS - 2 * _MARGIN)
 
 
 def export_matrix_csv(
@@ -103,8 +96,13 @@ REPORT_COLUMNS = [
 ]
 
 
-def export_report_csv(scores: Sequence[FactorScore], decimals: int = 1) -> str:
-    """One row per factor in id order, norms printed at display precision."""
+def format_display(value: float) -> str:
+    """One-decimal text form of a value, rounded half away from zero as printed reports are."""
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
+def export_report_csv(scores: Sequence[FactorScore]) -> str:
+    """One row per factor in id order, norms printed with one decimal."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
@@ -115,10 +113,10 @@ def export_report_csv(scores: Sequence[FactorScore], decimals: int = 1) -> str:
                 score.factor.category.value,
                 score.factor.display_name,
                 score.active_sum,
-                format_display(score.active_norm, decimals),
+                format_display(score.active_norm),
                 score.active_rank,
                 score.passive_sum,
-                format_display(score.passive_norm, decimals),
+                format_display(score.passive_norm),
                 score.passive_rank,
                 score.region.value,
                 "true" if score.key else "false",
@@ -127,87 +125,82 @@ def export_report_csv(scores: Sequence[FactorScore], decimals: int = 1) -> str:
     return buffer.getvalue()
 
 
+# Keyed by Region value, so that this module needs no analysis import at run time.
 _MARKER_STYLE = {
-    Region.DOMINANT: ("triangle", "#d62728"),
-    Region.DYNAMIC: ("circle", "#1f77b4"),
-    Region.REACTIVE: ("square", "#2ca02c"),
-    Region.ISOLATED: ("diamond", "#7f7f7f"),
+    "dominant": ("triangle", "#d62728"),
+    "dynamic": ("circle", "#1f77b4"),
+    "reactive": ("square", "#2ca02c"),
+    "isolated": ("diamond", "#7f7f7f"),
 }
 
 
-def render_scatter_svg(
-    scores: Sequence[FactorScore],
-    cfg: AnalysisConfig | None = None,
-    layout: PlotLayout | None = None,
-) -> str:
+def render_scatter_svg(scores: Sequence[FactorScore], cfg: AnalysisConfig) -> str:
     """Active-passive scatter: passive on x, active on y, both 0-100.
 
     Draws the two region boundary rays implied by the configured ratios,
     then one marker per factor (shape and fill keyed by region, labeled
     with the factor id) in ascending id order.
     """
-    cfg = cfg or AnalysisConfig()
-    layout = layout or PlotLayout()
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{layout.width}" '
-        f'height="{layout.height}" viewBox="0 0 {layout.width} {layout.height}">',
-        f'<rect x="{_fmt(layout.x_pixel(0))}" y="{_fmt(layout.y_pixel(100))}" '
-        f'width="{_fmt(layout.x_pixel(100) - layout.x_pixel(0))}" '
-        f'height="{_fmt(layout.y_pixel(0) - layout.y_pixel(100))}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS}" '
+        f'height="{_CANVAS}" viewBox="0 0 {_CANVAS} {_CANVAS}">',
+        f'<rect x="{_fmt(x_pixel(0))}" y="{_fmt(y_pixel(100))}" '
+        f'width="{_fmt(x_pixel(100) - x_pixel(0))}" '
+        f'height="{_fmt(y_pixel(0) - y_pixel(100))}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
 
     tick_len = 5
     for value in range(0, 101, 10):
-        x = layout.x_pixel(value)
-        y = layout.y_pixel(value)
-        x0, y0 = layout.x_pixel(0), layout.y_pixel(0)
+        x = x_pixel(value)
+        y = y_pixel(value)
+        x0, y0 = x_pixel(0), y_pixel(0)
         parts.append(
             f'<line class="tick" x1="{_fmt(x)}" y1="{_fmt(y0)}" '
             f'x2="{_fmt(x)}" y2="{_fmt(y0 + tick_len)}" stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y0 + tick_len + layout.font_size + 2)}" '
-            f'font-size="{layout.font_size}" text-anchor="middle">{value}</text>'
+            f'<text x="{_fmt(x)}" y="{_fmt(y0 + tick_len + _FONT_SIZE + 2)}" '
+            f'font-size="{_FONT_SIZE}" text-anchor="middle">{value}</text>'
         )
         parts.append(
             f'<line class="tick" x1="{_fmt(x0 - tick_len)}" y1="{_fmt(y)}" '
             f'x2="{_fmt(x0)}" y2="{_fmt(y)}" stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{_fmt(x0 - tick_len - 3)}" y="{_fmt(y + layout.font_size / 3)}" '
-            f'font-size="{layout.font_size}" text-anchor="end">{value}</text>'
+            f'<text x="{_fmt(x0 - tick_len - 3)}" y="{_fmt(y + _FONT_SIZE / 3)}" '
+            f'font-size="{_FONT_SIZE}" text-anchor="end">{value}</text>'
         )
     parts.append(
-        f'<text x="{_fmt((layout.x_pixel(0) + layout.x_pixel(100)) / 2)}" '
-        f'y="{_fmt(layout.height - 8)}" font-size="{layout.font_size + 2}" '
+        f'<text x="{_fmt((x_pixel(0) + x_pixel(100)) / 2)}" '
+        f'y="{_fmt(_CANVAS - 8)}" font-size="{_FONT_SIZE + 2}" '
         'text-anchor="middle">passive sum (normalized)</text>'
     )
-    mid_y = (layout.y_pixel(0) + layout.y_pixel(100)) / 2
+    mid_y = (y_pixel(0) + y_pixel(100)) / 2
     parts.append(
-        f'<text x="{layout.font_size + 2}" y="{_fmt(mid_y)}" '
-        f'font-size="{layout.font_size + 2}" text-anchor="middle" '
-        f'transform="rotate(-90 {layout.font_size + 2} {_fmt(mid_y)})">active sum (normalized)</text>'
+        f'<text x="{_FONT_SIZE + 2}" y="{_fmt(mid_y)}" '
+        f'font-size="{_FONT_SIZE + 2}" text-anchor="middle" '
+        f'transform="rotate(-90 {_FONT_SIZE + 2} {_fmt(mid_y)})">active sum (normalized)</text>'
     )
 
     for slope in (float(cfg.dominant_ratio), float(cfg.reactive_ratio)):
         px, py = _ray_end(slope)
         parts.append(
-            f'<line class="boundary" x1="{_fmt(layout.x_pixel(0))}" y1="{_fmt(layout.y_pixel(0))}" '
-            f'x2="{_fmt(layout.x_pixel(px))}" y2="{_fmt(layout.y_pixel(py))}" '
+            f'<line class="boundary" x1="{_fmt(x_pixel(0))}" y1="{_fmt(y_pixel(0))}" '
+            f'x2="{_fmt(x_pixel(px))}" y2="{_fmt(y_pixel(py))}" '
             'stroke="#999999" stroke-width="1" stroke-dasharray="6,4"/>'
         )
 
     for score in sorted(scores, key=lambda s: s.factor.id):
-        x = layout.x_pixel(score.passive_norm)
-        y = layout.y_pixel(score.active_norm)
-        shape, fill = _MARKER_STYLE[score.region]
+        x = x_pixel(score.passive_norm)
+        y = y_pixel(score.active_norm)
+        shape, fill = _MARKER_STYLE[score.region.value]
         parts.append(f'<g class="marker" data-factor="{score.factor.id}">')
-        parts.append(_marker_element(shape, fill, x, y, layout.marker_size))
+        parts.append(_marker_element(shape, fill, x, y, _MARKER_SIZE))
         parts.append(
-            f'<text x="{_fmt(x + layout.marker_size + 2)}" y="{_fmt(y - layout.marker_size - 2)}" '
-            f'font-size="{layout.font_size}">{score.factor.id}</text>'
+            f'<text x="{_fmt(x + _MARKER_SIZE + 2)}" y="{_fmt(y - _MARKER_SIZE - 2)}" '
+            f'font-size="{_FONT_SIZE}">{score.factor.id}</text>'
         )
         parts.append("</g>")
 

@@ -60,11 +60,6 @@ class RelationshipMatrix:
     def total(self) -> int:
         return sum(self.edges.values())
 
-    def cell(self, source_id: int, target_id: int) -> int:
-        if not (1 <= source_id <= self.size and 1 <= target_id <= self.size):
-            raise IndexError(f"factor ids must lie in [1, {self.size}]")
-        return self.edges.get((source_id - 1, target_id - 1), 0)
-
 
 @dataclass(frozen=True)
 class SumsTable:
@@ -172,30 +167,22 @@ def sums(matrix: RelationshipMatrix) -> SumsTable:
 def brute_force_sums(chains: ChainSet) -> SumsTable:
     """Independent oracle: count transition endpoints directly, no matrix.
 
-    Must equal sums(build_matrix(chains)) for every valid chain set.
+    Must equal sums(build_matrix(chains)) for every valid chain set. Only
+    the factor order is shared with build_matrix (_ordered_factors).
     """
-    active: dict[Identity, int] = {}
-    passive: dict[Identity, int] = {}
-    appearance: dict[Identity, int] = {}
+    active: Counter[Identity] = Counter()
+    passive: Counter[Identity] = Counter()
     display: dict[Identity, str] = {}
     for chain in chains:
         idents = [(category, normalize_name(name)) for category, name in chain.steps]
         for ident, (_, name) in zip(idents, chain.steps):
-            if ident not in appearance:
-                appearance[ident] = len(appearance)
-                display[ident] = name
-                active[ident] = 0
-                passive[ident] = 0
+            display.setdefault(ident, name)
         for source, target in zip(idents, idents[1:]):
             active[source] += 1
             passive[target] += 1
-    idents_sorted = sorted(appearance, key=lambda ident: (CATEGORY_ORDER[ident[0]], appearance[ident]))
-    factors = tuple(
-        Factor(category=ident[0], display_name=display[ident], canonical_key=ident[1], id=i)
-        for i, ident in enumerate(idents_sorted, start=1)
-    )
+    factors = _ordered_factors(display)
     return SumsTable(
         factors,
-        tuple(active[ident] for ident in idents_sorted),
-        tuple(passive[ident] for ident in idents_sorted),
+        tuple(active[factor.identity] for factor in factors),
+        tuple(passive[factor.identity] for factor in factors),
     )

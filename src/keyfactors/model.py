@@ -109,7 +109,7 @@ class FailureChain:
     def __post_init__(self) -> None:
         object.__setattr__(self, "source_alert", self.source_alert.strip())
         object.__setattr__(self, "case_label", self.case_label.strip())
-        object.__setattr__(self, "steps", tuple((cat, name) for cat, name in self.steps))
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -129,10 +129,6 @@ class ChainSet:
 
     def __len__(self) -> int:
         return len(self.chains)
-
-    def transitions(self) -> int:
-        """Total number of consecutive step pairs across all chains."""
-        return sum(max(len(chain) - 1, 0) for chain in self.chains)
 
 
 TOO_SHORT = "TooShort"

@@ -139,7 +139,7 @@ def test_criterion_3_region_reproduction(tmp_path):
 def test_criterion_4_conservation(corpus):
     for chain_set in corpus:
         table = sums(build_matrix(chain_set))
-        expected = chain_set.transitions()
+        expected = sum(len(chain) - 1 for chain in chain_set)
         assert table.total_active() == expected
         assert table.total_passive() == expected
     _report(4, f"conservation holds exactly on {len(corpus)} randomized chain sets")
@@ -170,16 +170,16 @@ def test_criterion_6_repetition_weighting():
         chain((C.FUNCTION, "thermal cut-off"), *shared, (C.HARM, "burn")),
     ))
     m = build_matrix(two)
-    ids = {f.display_name: f.id for f in m.factors}
-    assert m.cell(ids["heating element"], ids["increasing temperature Q [J]"]) == 2
+    ids = {f.display_name: f.id - 1 for f in m.factors}
+    assert m.edges[ids["heating element"], ids["increasing temperature Q [J]"]] == 2
 
     grille = ((C.COMPONENT, "protective grille"), (C.FUNCTION, "preventing access to internal parts"))
     three = ChainSet(tuple(
         chain(*grille, (C.ACTION, f"contact {i}"), (C.HARM, "electrical shock")) for i in range(3)
     ))
     m3 = build_matrix(three)
-    ids3 = {f.display_name: f.id for f in m3.factors}
-    assert m3.cell(ids3["protective grille"], ids3["preventing access to internal parts"]) == 3
+    ids3 = {f.display_name: f.id - 1 for f in m3.factors}
+    assert m3.edges[ids3["protective grille"], ids3["preventing access to internal parts"]] == 3
     _report(6, "repeated transitions weight to 2 and 3")
 
 

@@ -11,13 +11,14 @@ from keyfactors.analysis import (
     analyze,
     classify,
     competition_rank,
-    format_display,
     normalize_sums,
 )
+from keyfactors.emit import format_display
 from keyfactors.matrix import SumsTable
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
 
 C = FactorCategory
+DEFAULTS = AnalysisConfig()
 
 
 def sums_table(active, passive):
@@ -42,10 +43,9 @@ def test_normalize_zero_axis_is_all_zero():
 
 
 def test_display_rounding_is_half_away_from_zero():
-    assert format_display(12.25, 1) == "12.3"  # bankers' rounding would give 12.2
-    assert format_display(95.65217391304348, 1) == "95.7"
-    assert format_display(75.0, 1) == "75.0"
-    assert format_display(13.04, 0) == "13"
+    assert format_display(12.25) == "12.3"  # bankers' rounding would give 12.2
+    assert format_display(95.65217391304348) == "95.7"
+    assert format_display(75.0) == "75.0"
 
 
 def test_competition_rank_shares_smallest_rank_on_ties():
@@ -83,25 +83,25 @@ def test_competition_rank_matches_counting_definition(values):
 
 def test_classify_named_regions():
     # factor 13 in the case study: sums 8 and 3 against axis maxima 23 and 24
-    assert classify(8, 3, 23, 24) is Region.DOMINANT
+    assert classify(8, 3, 23, 24, DEFAULTS) is Region.DOMINANT
     # factor 23: sums 22 and 20
-    assert classify(22, 20, 23, 24) is Region.DYNAMIC
-    assert classify(0, 0, 23, 24) is Region.ISOLATED
-    assert classify(9, 0, 23, 24) is Region.DOMINANT
-    assert classify(0, 9, 23, 24) is Region.REACTIVE
+    assert classify(22, 20, 23, 24, DEFAULTS) is Region.DYNAMIC
+    assert classify(0, 0, 23, 24, DEFAULTS) is Region.ISOLATED
+    assert classify(9, 0, 23, 24, DEFAULTS) is Region.DOMINANT
+    assert classify(0, 9, 23, 24, DEFAULTS) is Region.REACTIVE
 
 
 def test_classify_boundaries_are_inclusive():
-    assert classify(50, 25, 100, 100) is Region.DOMINANT  # ratio exactly 2.0
-    assert classify(25, 50, 100, 100) is Region.REACTIVE  # ratio exactly 0.5
-    assert classify(499, 250, 1000, 1000) is Region.DYNAMIC
+    assert classify(50, 25, 100, 100, DEFAULTS) is Region.DOMINANT  # ratio exactly 2.0
+    assert classify(25, 50, 100, 100, DEFAULTS) is Region.REACTIVE  # ratio exactly 0.5
+    assert classify(499, 250, 1000, 1000, DEFAULTS) is Region.DYNAMIC
 
 
 def test_classify_rejects_out_of_range_input():
     with pytest.raises(ValueError):
-        classify(24, 0, 23, 24)
+        classify(24, 0, 23, 24, DEFAULTS)
     with pytest.raises(ValueError):
-        classify(0, -1, 23, 24)
+        classify(0, -1, 23, 24, DEFAULTS)
 
 
 @given(
@@ -113,10 +113,10 @@ def test_classify_rejects_out_of_range_input():
 def test_classify_depends_only_on_the_ratio(a, p, j, k):
     # Scaling an axis's sums and maximum together keeps its normalized values;
     # scaling both sums together keeps their ratio.
-    assert classify(a, p, 100, 100) is classify(a * j, p * k, 100 * j, 100 * k)
-    assert classify(a, p, 100, 100) is classify(a * j, p * j, 100 * j, 100 * j)
+    assert classify(a, p, 100, 100, DEFAULTS) is classify(a * j, p * k, 100 * j, 100 * k, DEFAULTS)
+    assert classify(a, p, 100, 100, DEFAULTS) is classify(a * j, p * j, 100 * j, 100 * j, DEFAULTS)
     assume(a * k <= 100 and p * k <= 100)
-    assert classify(a, p, 100, 100) is classify(a * k, p * k, 100, 100)
+    assert classify(a, p, 100, 100, DEFAULTS) is classify(a * k, p * k, 100, 100, DEFAULTS)
 
 
 def test_region_and_key_decisions_are_exact_at_boundaries():
@@ -174,8 +174,6 @@ def test_config_validation():
         AnalysisConfig(reactive_ratio=-1)
     with pytest.raises(ValueError):
         AnalysisConfig(key_threshold=201)
-    with pytest.raises(ValueError):
-        AnalysisConfig(display_decimals=-1)
 
 
 @pytest.mark.parametrize("field", ["dominant_ratio", "reactive_ratio", "key_threshold"])

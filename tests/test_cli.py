@@ -420,8 +420,11 @@ MODULE_PROBE = (
             ["analysis", "emit", "matrix"],
         ),
         (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["dsl", "rapex"]),
+        (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["dsl", "emit", "matrix"]),
+        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["analysis", "dsl", "emit", "matrix"]),
+        (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "dsl", "emit", "matrix"]),
     ],
-    ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex"],
+    ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex", "dot", "matrix", "plot"],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -430,3 +433,87 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     assert result.returncode == 0, result.stderr
     loaded = result.stdout.splitlines()[-1].split()
     assert loaded == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
+
+
+SUMS_TABLE = "id,category,name,active_sum,passive_sum\n1,component,Gerät,2,0\n2,harm,burn,0,2\n"
+
+# (argv with {path} for the input and {tmp} for the test directory, input file
+# name, input bytes, first stderr line). The table is the catalogue of input
+# that spreadsheets and Windows editors write.
+BAD_INPUTS = [
+    (
+        ["analyze", "{path}", "-o", "{tmp}/out.csv"],
+        "cp1252.chains",
+        'alert: a\ncase: c\ncomponent "Gerät"\nharm "burn"\n'.encode("cp1252"),
+        "{path}:3:15: error: not UTF-8 (byte 0xE4)",
+    ),
+    (
+        ["validate", "{path}"],
+        "crlf.chains",
+        'alert: a\r\ncase: c\r\n\r\n  action "Öffnen"\r\nharm "burn"\r\n'.encode("cp1252"),
+        "{path}:4:11: error: not UTF-8 (byte 0xD6)",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "cp1252.csv",
+        "\ufeff".encode("utf-8") + SUMS_TABLE.encode("cp1252"),
+        "{path}:2:16: error: not UTF-8 (byte 0xE4)",
+    ),
+    (
+        ["plot", "--from-sums", "{path}", "-o", "{tmp}/out.svg"],
+        "utf16.csv",
+        SUMS_TABLE.encode("utf-16"),
+        "{path}:1:1: error: not UTF-8 (byte 0xFF)",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "semicolon.csv",
+        SUMS_TABLE.replace(",", ";").encode("utf-8"),
+        "error: {path}: missing columns: id, category, name, active_sum, passive_sum "
+        "(the file looks semicolon-delimited; sums tables must be comma-separated)",
+    ),
+    (
+        ["import-rapex", "{path}", "-d", "{tmp}/skeletons"],
+        "alerts.json",
+        '[{"alertNumber": "A1", "risk": "Verbrühung"}]'.encode("latin-1"),
+        "{path}:1:38: error: not UTF-8 (byte 0xFC)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "name", "data", "first_line"),
+    BAD_INPUTS,
+    ids=["cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "latin1-alerts"],
+)
+def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, first_line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = [arg.format(path=path, tmp=tmp_path) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "keyfactors.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr.splitlines()[0]) == (2, first_line.format(path=path))
+    assert result.stdout == ""
+    # No output file, temp file or output directory is left behind.
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_closed_stdout_ends_quietly_with_exit_two(tmp_path):
+    # 600 factors: a matrix CSV of about 400 KB, several times a pipe buffer.
+    chains = "\n---\n".join(
+        f'alert: a\ncase: c\ncomponent "part {i}"\neffect "effect {i}"\nharm "harm {i}"' for i in range(200)
+    )
+    path = write(tmp_path, "many.chains", chains + "\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with subprocess.Popen(
+        [sys.executable, "-m", "keyfactors.cli", "matrix", path],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b",component"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (2, b"")
+    assert main(["matrix", path, "-o", str(tmp_path / "m.csv")]) == 0
+    assert (tmp_path / "m.csv").stat().st_size > 4 * 65536

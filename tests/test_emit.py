@@ -1,5 +1,6 @@
 import csv
 import io
+from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 from corpus import chain_sets
 from keyfactors.analysis import AnalysisConfig, analyze, competition_rank
 from keyfactors.emit import (
-    PlotLayout,
     export_dot,
     export_matrix_csv,
     export_report_csv,
+    format_display,
     render_scatter_svg,
+    x_pixel,
+    y_pixel,
 )
 from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, sums
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
@@ -72,7 +75,7 @@ def test_matrix_csv_round_trips_counts_and_sums(chain_set):
     m, table, text = matrix_csv_for(chain_set)
     labels, counts, active, passive = read_matrix_csv(text)
     assert labels == [f.label for f in m.factors]
-    assert counts == [[m.cell(r.id, c.id) for c in m.factors] for r in m.factors]
+    assert counts == [[m.edges.get((r, c), 0) for c in range(m.size)] for r in range(m.size)]
     assert active == list(table.active)
     if m.factors:
         assert passive == list(table.passive)
@@ -157,6 +160,25 @@ def test_report_csv_empty_and_row_count():
     assert [row["id"] for row in rows] == ["1", "2", "3"]
 
 
+@st.composite
+def sums_and_peaks(draw):
+    peak = draw(st.integers(min_value=1, max_value=1200))
+    return draw(st.integers(min_value=0, max_value=peak)), peak
+
+
+@given(sums_and_peaks())
+@example((1, 8))  # 12.5: exactly a tenth
+@example((1, 80))  # 1.25: a tie, rounds up
+@example((49, 400))  # 12.25: a tie, where rounding half to even would give 12.2
+@example((0, 1))
+@example((1200, 1200))
+def test_format_display_matches_rational_half_up_rounding(sum_and_peak):
+    s, peak = sum_and_peak
+    # Tenths of 100 * s / peak, rounded half up: floor(1000 * s / peak + 1/2).
+    tenths = int(Fraction(1000 * s, peak) + Fraction(1, 2))
+    assert format_display(100.0 * s / peak) == f"{tenths // 10}.{tenths % 10}"
+
+
 def test_scatter_svg_marker_positions_and_counts():
     factors = (
         Factor(C.ACTION, "user touches accessible live parts", "user touches accessible live parts", 1),
@@ -164,41 +186,30 @@ def test_scatter_svg_marker_positions_and_counts():
     )
     table = SumsTable(factors, (23, 0), (23, 24))
     scores = analyze(table)
-    layout = PlotLayout()
-    svg = render_scatter_svg(scores, AnalysisConfig(), layout)
+    svg = render_scatter_svg(scores, AnalysisConfig())
     assert svg.count('class="marker"') == 2
     assert svg.count('class="boundary"') == 2
-    x = layout.x_pixel(100 * 23 / 24)  # factor 1 passive norm, printed as 95.8
-    y = layout.y_pixel(100.0)
+    x = x_pixel(100 * 23 / 24)  # factor 1 passive norm, printed as 95.8
+    y = y_pixel(100.0)
     assert f'cx="{x:.2f}" cy="{y:.2f}"' in svg
 
 
 def test_scatter_svg_boundary_rays_follow_config():
-    layout = PlotLayout()
-    svg = render_scatter_svg((), AnalysisConfig(dominant_ratio=2.0, reactive_ratio=0.5), layout)
+    svg = render_scatter_svg((), AnalysisConfig(dominant_ratio=2.0, reactive_ratio=0.5))
     # dominant ray leaves the square at passive 50, reactive at active 50
-    assert f'x2="{layout.x_pixel(50):.2f}" y2="{layout.y_pixel(100):.2f}"' in svg
-    assert f'x2="{layout.x_pixel(100):.2f}" y2="{layout.y_pixel(50):.2f}"' in svg
+    assert f'x2="{x_pixel(50):.2f}" y2="{y_pixel(100):.2f}"' in svg
+    assert f'x2="{x_pixel(100):.2f}" y2="{y_pixel(50):.2f}"' in svg
 
 
 def test_scatter_svg_empty_scores_is_axes_only():
-    svg = render_scatter_svg(())
+    svg = render_scatter_svg((), AnalysisConfig())
     assert 'class="marker"' not in svg
     assert svg.count('class="boundary"') == 2
 
 
 def test_scatter_svg_is_deterministic():
     scores = analyze(ChainSet((ABH,)))
-    assert render_scatter_svg(scores) == render_scatter_svg(scores)
-
-
-def test_plot_layout_validation():
-    import pytest
-
-    with pytest.raises(ValueError):
-        PlotLayout(width=0)
-    with pytest.raises(ValueError):
-        PlotLayout(margin=400)
+    assert render_scatter_svg(scores, AnalysisConfig()) == render_scatter_svg(scores, AnalysisConfig())
 
 
 def test_dot_single_chain():
@@ -240,4 +251,4 @@ def test_all_emitters_are_deterministic(chain_set):
     assert export_matrix_csv(m, table, *ranks) == export_matrix_csv(m, table, *ranks)
     assert export_report_csv(scores) == export_report_csv(scores)
     assert export_dot(m) == export_dot(m)
-    assert render_scatter_svg(scores) == render_scatter_svg(scores)
+    assert render_scatter_svg(scores, AnalysisConfig()) == render_scatter_svg(scores, AnalysisConfig())

@@ -43,20 +43,16 @@ def cells_by_identity(m):
 def test_single_chain_counts():
     m = build_matrix(ChainSet((ABH,)))
     assert [f.display_name for f in m.factors] == ["A", "B", "H"]
-    assert m.cell(1, 2) == 1
-    assert m.cell(2, 3) == 1
+    assert dict(m.edges) == {(0, 1): 1, (1, 2): 1}
     assert m.total() == 2
-    for source_id, target_id in ((0, 1), (1, 4), (-1, 1)):
-        with pytest.raises(IndexError):
-            m.cell(source_id, target_id)
 
 
 def test_repeated_transition_weights_to_two():
     first = chain((C.COMPONENT, "heating element"), (C.CONTROL_FACTOR, "increasing temperature"), (C.HARM, "burn"))
     second = chain((C.FUNCTION, "thermal cut-off"), (C.COMPONENT, "heating element"), (C.CONTROL_FACTOR, "increasing temperature"), (C.HARM, "burn"))
     m = build_matrix(ChainSet((first, second)))
-    by_name = {f.display_name: f.id for f in m.factors}
-    assert m.cell(by_name["heating element"], by_name["increasing temperature"]) == 2
+    by_name = {f.display_name: f.id - 1 for f in m.factors}
+    assert m.edges[by_name["heating element"], by_name["increasing temperature"]] == 2
 
 
 def test_three_occurrences_weight_to_three():
@@ -68,8 +64,8 @@ def test_three_occurrences_weight_to_three():
         )
     )
     m = build_matrix(chains)
-    by_name = {f.display_name: f.id for f in m.factors}
-    assert m.cell(by_name["protective grille"], by_name["preventing access to internal parts"]) == 3
+    by_name = {f.display_name: f.id - 1 for f in m.factors}
+    assert m.edges[by_name["protective grille"], by_name["preventing access to internal parts"]] == 3
 
 
 def test_factor_order_is_category_then_first_appearance():
@@ -107,10 +103,9 @@ def test_mentions_merge_across_spellings_keeping_first_display():
 def test_harm_rows_and_diagonal_are_zero():
     chains = ChainSet((ABH, chain((C.EFFECT, "B"), (C.COMPONENT, "A"), (C.HARM, "H"))))
     m = build_matrix(chains)
-    for factor in m.factors:
-        assert m.cell(factor.id, factor.id) == 0
-        if factor.category is C.HARM:
-            assert all(m.cell(factor.id, target.id) == 0 for target in m.factors)
+    for r, c in m.edges:
+        assert r != c
+        assert m.factors[r].category is not C.HARM
 
 
 def test_invalid_chain_is_rejected_with_violations():
@@ -201,7 +196,7 @@ def test_oracle_equivalence(chain_set):
 @given(chain_sets())
 def test_conservation(chain_set):
     table = sums(build_matrix(chain_set))
-    expected = chain_set.transitions()
+    expected = sum(len(chain) - 1 for chain in chain_set)
     assert table.total_active() == expected
     assert table.total_passive() == expected
 

@@ -9,7 +9,6 @@ from keyfactors.model import (
     MISSING_HARM,
     SELF_TRANSITION,
     TOO_SHORT,
-    ChainSet,
     EmptyNameError,
     Factor,
     FactorCategory,
@@ -121,11 +120,6 @@ def test_chain_strips_header_fields_and_is_immutable():
     with pytest.raises(AttributeError):
         ch.case_label = "other"
 
-
-def test_chain_set_counts_transitions():
-    ch = chain((C.COMPONENT, "a"), (C.EFFECT, "b"), (C.HARM, "h"))
-    assert ChainSet((ch, ch)).transitions() == 4
-    assert ChainSet().transitions() == 0
 
 
 def _mutate_one_step(chain, kind, i):
