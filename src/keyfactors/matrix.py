@@ -113,12 +113,16 @@ def build_matrix(chains: ChainSet) -> RelationshipMatrix:
         if idents is None:
             invalid.append((index, validate_chain(chain)))
             continue
-        path = []
-        for ident, (_, name) in zip(idents, chain.steps):
-            number = seen.setdefault(ident, len(seen))
-            if number == len(names):
-                names.append(name)
-            path.append(number)
+        try:
+            path = list(map(seen.__getitem__, idents))
+        except KeyError:
+            # The chain brings a new identity: number it and keep its name.
+            path = []
+            for ident, (_, name) in zip(idents, chain.steps):
+                number = seen.setdefault(ident, len(seen))
+                if number == len(names):
+                    names.append(name)
+                path.append(number)
         paths.append(path)
     if invalid:
         raise ChainValidationError(invalid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class EmptyNameError(ValueError):
@@ -138,8 +138,7 @@ SELF_TRANSITION = "SelfTransition"
 EMPTY_NAME = "EmptyName"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A broken chain invariant; step numbers are 1-based."""
 
     rule: str
@@ -161,17 +160,38 @@ class ChainValidationError(ValueError):
         super().__init__(f"invalid chains: {summary}")
 
 
+class _IdentityTable(dict):
+    """Identity by step, normalized on first lookup; forgets all when full."""
+
+    limit = 1 << 16
+
+    def __missing__(self, step: Step) -> Identity:
+        if len(self) >= self.limit:
+            self.clear()
+        category, name = step
+        identity = self[step] = (category, normalize_name(name))
+        return identity
+
+
+_IDENTITIES = _IdentityTable()
+
+
 def step_identities(chain: FailureChain) -> list[Identity] | None:
     """Each step's identity (category, normalized name), or None for an invalid chain.
 
     Callers take identities from here instead of normalizing names
-    themselves. The check that comes with them is cheap and exact: None
-    means validate_chain finds at least one violation, a list means it
-    finds none.
+    themselves. Identities come from one table keyed by the step
+    (category, raw name), so each distinct step is normalized once per
+    process (until the table holds ``_IdentityTable.limit`` steps and
+    starts over). On the command-line path the parser's check fills the
+    table and build_matrix's call costs one lookup per step; a chain is
+    checked on every call, so a bare ChainSet is still validated in full.
+    The check is cheap and exact: None means validate_chain finds at
+    least one violation, a list means it finds none.
     """
     steps = chain.steps
     try:
-        idents = [(category, normalize_name(name)) for category, name in steps]
+        idents = list(map(_IDENTITIES.__getitem__, steps))
     except EmptyNameError:
         return None
     categories = [category for category, _ in steps]

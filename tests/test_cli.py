@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -274,6 +275,40 @@ def test_dot_merged_fixtures_node_count_matches_oracle(capsys):
 
 def test_dot_unreadable_file_exits_two(tmp_path):
     assert main(["dot", str(tmp_path / "missing.chains")]) == 2
+
+
+def test_analyze_normalizes_each_distinct_step_once(tmp_path, monkeypatch):
+    from keyfactors import model
+    from keyfactors.dsl import parse_document
+
+    steps = [
+        step
+        for path in CHAIN_FILES
+        for chain in parse_document(Path(path).read_text(encoding="utf-8"))[0]
+        for step in chain.steps
+    ]
+    assert len(set(steps)) < len(steps)
+    calls = collections.Counter()
+    normalize = model.normalize_name
+
+    def counting(name):
+        calls[name] += 1
+        return normalize(name)
+
+    monkeypatch.setattr(model, "normalize_name", counting)
+    monkeypatch.setattr(model, "_IDENTITIES", model._IdentityTable())
+    assert main(["analyze", *CHAIN_FILES, "-o", str(tmp_path / "report.csv")]) == 0
+    # Parsing checks every chain and build_matrix looks every step up again.
+    assert calls == collections.Counter(name for _, name in set(steps))
+
+
+@pytest.mark.parametrize("command", ["dot", "matrix"])
+def test_control_character_in_a_name_is_reported_and_written_nowhere(tmp_path, capsys, command):
+    path = write(tmp_path, "control.chains", 'alert: a\ncase: c\ncomponent "pl\x01ug"\nharm "h"\n')
+    output = tmp_path / "out"
+    assert main([command, path, "-o", str(output)]) == 1
+    assert capsys.readouterr().err == f"{path}:3:14: error: control character U+0001 in quoted name\n"
+    assert not output.exists()
 
 
 def test_import_rapex_writes_one_file_per_risk(tmp_path, capsys):

@@ -1,13 +1,17 @@
 import random
+import re
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from corpus import chain_sets, mutate_text, random_chain_set
+from corpus import chain_sets, failure_chains, mutate_text, random_chain_set
+from keyfactors import dsl
 from keyfactors.dsl import (
     _KEYWORD_RE,
     _STEP_KEYWORDS,
+    Diagnostic,
     Severity,
     _escape_name,
     _fast_step,
@@ -15,7 +19,7 @@ from keyfactors.dsl import (
     parse_document,
     serialize_document,
 )
-from keyfactors.model import ChainSet, ChainValidationError, FactorCategory, FailureChain
+from keyfactors.model import ChainSet, ChainValidationError, FactorCategory, FailureChain, Violation
 
 C = FactorCategory
 
@@ -120,6 +124,13 @@ def test_empty_block_warns_but_does_not_exclude():
     chain_set, diagnostics = parse_document(doc)
     assert len(chain_set) == 1
     assert [d.severity for d in diagnostics] == [Severity.WARNING]
+
+
+def test_trailing_separator_warns_about_the_empty_last_block():
+    for doc, line in ((HAIR_DRYER_BURN + "---\n", 10), (HAIR_DRYER_BURN + "---", 9)):
+        chain_set, diagnostics = parse_document(doc)
+        assert len(chain_set) == 1
+        assert diagnostics == [Diagnostic(Severity.WARNING, line, 1, "empty chain block")]
 
 
 def test_validation_diagnostics_point_at_the_offending_step():
@@ -250,6 +261,7 @@ INTAKE_DEFECTS = {
         5,
         "TooShort: chain has 1 step(s); at least one step must precede the terminal harm",
     ),
+    "control_character": ('component "pl\x01ug"\nharm "h"\n', 3, 14, "control character U+0001 in quoted name"),
 }
 
 
@@ -261,3 +273,113 @@ def test_each_intake_defect_keeps_its_exact_position(kind):
     assert [(d.severity, d.line, d.column, d.message) for d in diagnostics] == [
         (Severity.ERROR, line, column, message)
     ]
+    # The same defect after a well-formed block: the lines shift, the columns do not.
+    shift = HAIR_DRYER_BURN.count("\n") + 1
+    chain_set, diagnostics = parse_document(HAIR_DRYER_BURN + "---\nalert: a\ncase: c\n" + body)
+    assert [c.case_label for c in chain_set] == ["burn"]
+    assert diagnostics == [Diagnostic(Severity.ERROR, line + shift, column, message)]
+
+
+def test_diagnostics_and_violations_are_immutable_values():
+    diagnostic = Diagnostic(Severity.ERROR, 3, 1, "x")
+    assert diagnostic == Diagnostic(Severity.ERROR, 3, 1, "x") != Diagnostic(Severity.ERROR, 3, 2, "x")
+    assert repr(diagnostic) == "Diagnostic(severity=<Severity.ERROR: 'error'>, line=3, column=1, message='x')"
+    violation = Violation("TooShort", 1, "m")
+    assert repr(violation) == "Violation(rule='TooShort', step=1, message='m')"
+    for value, field_name in ((diagnostic, "line"), (violation, "step")):
+        with pytest.raises(AttributeError):
+            setattr(value, field_name, 4)
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x1b", "\x1f", "\r", "\x7f", "\x85", "\x9f"])
+@pytest.mark.parametrize("indent", ["", "  "])
+def test_control_character_in_a_name_is_an_error_at_its_column(char, indent):
+    # Unindented, the block pattern sees the line first; indented, only the per-line path does.
+    doc = f'alert: a\ncase: c\n{indent}component "plug {char}x"\nharm "h"\n---\n' + HAIR_DRYER_BURN
+    chain_set, diagnostics = parse_document(doc)
+    assert [c.case_label for c in chain_set] == ["burn"]
+    message = f"control character U+{ord(char):04X} in quoted name"
+    assert diagnostics == [Diagnostic(Severity.ERROR, 3, len(indent) + 17, message)]
+
+
+def test_tab_and_escaped_control_characters_stay_valid():
+    doc = 'alert: a\ncase: c\ncomponent "a\tb"\neffect "x\\n\\r\\ty"\nharm "h"\n'
+    chain_set, diagnostics = parse_document(doc)
+    assert diagnostics == []
+    assert chain_set.chains[0].steps[:2] == ((C.COMPONENT, "a\tb"), (C.EFFECT, "x\n\r\ty"))
+    assert parse_document(serialize_document(chain_set)) == (chain_set, [])
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x1b", "\x0b", "\x7f", "\x85"])
+def test_serialize_refuses_a_name_with_a_control_character(char):
+    bad = ChainSet((FailureChain("a", "c", ((C.COMPONENT, "ok"), (C.HARM, f"h{char}"))),))
+    with pytest.raises(ValueError, match=f"chain 0: step 2 name holds control character U\\+{ord(char):04X}"):
+        serialize_document(bad)
+
+
+def test_a_document_in_the_serializers_form_is_read_by_the_block_pattern():
+    doc = "# corpus\n" + HAIR_DRYER_BURN + "---\n" + HAIR_DRYER_BURN.replace("case: burn\n", "case: burn\n# note\n")
+    with mock.patch.object(dsl, "_block_lines", side_effect=AssertionError("line path used")):
+        chain_set, diagnostics = parse_document(doc)
+    assert len(chain_set) == 2 and diagnostics == []
+
+
+NEVER = re.compile(r"(?!)")
+
+
+def _upper_keyword(line):
+    return re.sub(r"^[a-z]+", lambda m: m[0].upper(), line)
+
+
+# How a line may be written besides the serializer's form.
+LINE_VARIANTS = {
+    "crlf": lambda line: [line + "\r"],
+    "indent": lambda line: ["  " + line],
+    "upper": lambda line: [_upper_keyword(line)],
+    "comment": lambda line: ['# was: effect "e"', line],
+    "indented comment": lambda line: ["\t# note", line],
+    "twice": lambda line: [line, line],
+    "blank": lambda line: ["", line],
+    "control": lambda line: [line.replace('"', '"\x07', 1)],
+}
+
+
+@st.composite
+def chain_documents(draw):
+    """Valid, defective, step-less and empty blocks, each line kept or varied, joined by separators."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["valid", "valid", "defect", "headers", "empty"]), max_size=4)):
+        if kind == "empty":
+            lines = draw(st.lists(st.sampled_from(["", "# note", "   "]), max_size=2))
+        else:
+            if kind == "headers":
+                lines = ["alert: a", "case: c"]
+            elif kind == "valid":
+                chain_set = ChainSet((draw(failure_chains()),))
+                lines = serialize_document(chain_set).splitlines()
+            else:
+                body = INTAKE_DEFECTS[draw(st.sampled_from(sorted(INTAKE_DEFECTS)))][0]
+                lines = ["alert: a", "case: c", *body.splitlines()]
+                if draw(st.booleans()):
+                    lines = [line.strip() for line in lines]
+            # A block keeps the serializer's form, or departs from it in a line or two.
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+                lines[i : i + 1] = LINE_VARIANTS[draw(st.sampled_from(sorted(LINE_VARIANTS)))](lines[i])
+        blocks.append("\n".join(lines))
+    parts = []
+    for block in blocks:
+        parts += [block, draw(st.sampled_from(["---", "---", "  ---  ", "---\r"]))]
+    ending = draw(st.sampled_from(["separator, newline", "separator", "newline", "nothing"]))
+    if ending in ("newline", "nothing"):
+        parts = parts[:-1]
+    text = "\n".join(parts)
+    return text + "\n" if ending.endswith("newline") else text
+
+
+@settings(max_examples=300)
+@given(chain_documents())
+def test_block_pattern_and_line_path_agree(text):
+    parsed = parse_document(text)
+    with mock.patch.object(dsl, "_BLOCK_RE", NEVER):
+        assert parse_document(text) == parsed

@@ -143,6 +143,22 @@ def test_every_invalid_chain_is_reported_in_full():
     ]
 
 
+def test_a_bare_chain_set_is_checked_even_when_its_steps_are_known():
+    a, respelled_a, b, h = (C.COMPONENT, "A"), (C.COMPONENT, " a "), (C.EFFECT, "B"), (C.HARM, "H")
+    # Every step below is first seen in a valid chain, so its identity is known.
+    build_matrix(ChainSet((chain(a, b, h), chain(respelled_a, b, h))))
+    chains = ChainSet((chain(a, respelled_a, h), ABH, chain(h, a, h), chain(a, b)))
+    with pytest.raises(ChainValidationError) as exc_info:
+        build_matrix(chains)
+    invalid = exc_info.value.invalid
+    assert invalid == tuple((i, tuple(validate_chain(c))) for i, c in enumerate(chains) if i != 1)
+    assert [[v.rule for v in violations] for _, violations in invalid] == [
+        [SELF_TRANSITION],
+        [HARM_NOT_TERMINAL],
+        [MISSING_HARM],
+    ]
+
+
 def test_sums_single_chain():
     table = sums(build_matrix(ChainSet((ABH,))))
     assert table.active == (1, 1, 0)

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import failure_chains
+from keyfactors import model
 from keyfactors.model import (
     EMPTY_NAME,
     HARM_NOT_TERMINAL,
@@ -154,3 +155,14 @@ def test_early_accept_agrees_with_the_full_check(chain, kind, i):
     assert validate_chain(candidate) == full
     if idents is not None:
         assert idents == [(category, normalize_name(name)) for category, name in candidate.steps]
+
+
+def test_identity_table_starts_over_when_full(monkeypatch):
+    monkeypatch.setattr(model._IdentityTable, "limit", 3)
+    monkeypatch.setattr(model, "_IDENTITIES", model._IdentityTable())
+    steps = ((C.COMPONENT, "A"), (C.EFFECT, "B"), (C.ACTION, "C"), (C.EFFECT, " b "), (C.HARM, "H"))
+    expected = [(category, normalize_name(name)) for category, name in steps]
+    for _ in range(2):
+        assert step_identities(chain(*steps)) == expected
+        assert len(model._IDENTITIES) <= 3
+    assert step_identities(chain(*steps[:2], (C.EFFECT, " b "), steps[4])) is None
