@@ -26,27 +26,23 @@ deterministic list of diagnostics. A chain with a syntax error or a
 broken chain invariant is excluded and reported with one error
 diagnostic per problem; warnings never exclude anything.
 
-A document is read block by block. A block in the form serialize_document
-writes is matched whole by one compiled pattern: optional ``#`` lines, the
-``alert:`` and ``case:`` lines, then step lines (lower-case keyword, one
-space, a quoted name) and ``#`` lines, every line ending in LF, up to a
-``---`` line or the end of the document. The pattern has checked every
-line, so the block is split at LF and each step line is looked up in a
-table of the step lines seen in the document; step_identities' check
-then accepts the chain, or its violations are placed on the block's own
-lines. Any other block (blank or indented lines, CR, upper-case keywords,
-a syntax error, no final LF) is read one stripped line at a time from
-its first line. There, a step line found in the table costs one lookup,
-a new well-formed one is read by one pattern, and the character scanner
-runs only to place an error's column. Either way each diagnostic has
-the same text and ``line:column``.
+A document is read in one pass. It is split at LF, and each distinct line
+is classified once, from its own text, into what it holds: a step
+(category, name), an ``alert:`` or ``case:`` header, a separator, a
+comment or blank line, or a syntax error at its column. One pattern reads
+headers and well-formed step lines; the character scanner runs only on a
+step line the pattern rejects, to place the error. The blocks between
+separators are then walked over those kinds, which adds each line's
+number. A block with both headers and no error whose chain
+step_identities accepts is kept; any other block is reported from the
+same kinds, its broken invariants placed on their steps' lines.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 from keyfactors.model import (
     ChainSet,
@@ -73,26 +69,34 @@ class Diagnostic(NamedTuple):
     message: str
 
 
+class _Header:
+    # Built once per distinct header line, and most are distinct: a slotted
+    # class is built in about half the time of a NamedTuple.
+    __slots__ = ("key", "text", "column")
+
+    def __init__(self, key: str, text: str, column: int) -> None:
+        self.key, self.text, self.column = key, text, column
+
+
+class _LineError(NamedTuple):
+    column: int
+    message: str
+
+
+# What one line holds: a step, a header, a syntax error, _SEPARATOR, or
+# None for a blank or comment line.
+_Kind = Union[Step, _Header, _LineError, str, None]
+
+_SEPARATOR = "---"
 _STEP_KEYWORDS = {category.value: category for category in FactorCategory}
-_HEADER_RE = re.compile(r"^(alert|case):\s?(.*)$", re.IGNORECASE)
 _KEYWORD_RE = re.compile(r"[A-Za-z_]+")
 # A quoted name's body: no quote, backslash or control character but tab,
 # except in the escapes of _UNESCAPES.
 _NAME_CHAR = r'[^"\\\x00-\x08\n-\x1f\x7f-\x9f]'
 _NAME = rf'{_NAME_CHAR}*(?:\\[\\"nrt]{_NAME_CHAR}*)*'
-# A well-formed step line, stripped: keyword, optional blanks, then one
-# quoted name that ends the line.
-_STEP_RE = re.compile(rf'([A-Za-z_]+)\s*"({_NAME})"')
-# A block as serialize_document writes it (groups: alert text, case text,
-# step and comment lines, separator). Matching the lines in a lookahead and
-# then the backreference \3 makes them atomic, as Python 3.10 has no
-# possessive quantifier: a block that breaks off at some line fails at once
-# instead of backtracking through every line before it.
-_KEYWORDS = "|".join(_STEP_KEYWORDS)
-_BLOCK_RE = re.compile(
-    r"(?:#[^\n]*\n)*alert:([^\n]*)\n(?:#[^\n]*\n)*case:([^\n]*)\n"
-    rf'(?=((?:(?:(?:{_KEYWORDS}) "{_NAME}"|#[^\n]*)\n)*))\3(?:(---)\n|\Z)'
-)
+# A header, or a well-formed step line (keyword, optional blanks, one
+# quoted name), with the line's leading and trailing blanks.
+_LINE_RE = re.compile(rf'\s*(?:((?i:alert|case)):(.*)|([A-Za-z_]+)\s*"({_NAME})"\s*)')
 _ESCAPE_RE = re.compile(r'\\([\\"nrt])')
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -102,183 +106,94 @@ _UNWRITABLE_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 
 def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
     """Parse a chain document; never raises on malformed input."""
+    lines = source.split("\n")
+    kinds = list(map(_LineKinds().__getitem__, lines))
+    # Only a document with a separator reports empty blocks.
+    separated = _SEPARATOR in kinds
     diagnostics: list[Diagnostic] = []
     chains: list[FailureChain] = []
-    last_line = source.count("\n") + 1
-    table = _StepTable()
-    pos, lineno, first_block = 0, 1, True
+    start = 0
     while True:
-        match = _BLOCK_RE.match(source, pos)
-        if match is not None:
-            chain, block_diagnostics = _canonical_block(source, pos, lineno, match, table)
-            separated = match[4] is not None
-            next_pos = match.end()
-            next_line = lineno + source.count("\n", pos, next_pos)
-        else:
-            content, next_pos, next_line, separated = _block_lines(source, pos, lineno)
-            if content:
-                chain, block_diagnostics = _parse_block(content, table)
-            else:
-                chain, block_diagnostics = None, []
-                if separated or not first_block:
-                    # Only a document with a separator reports empty blocks.
-                    block_diagnostics.append(
-                        Diagnostic(Severity.WARNING, min(lineno, last_line), 1, "empty chain block")
-                    )
-        diagnostics.extend(block_diagnostics)
+        try:
+            end = kinds.index(_SEPARATOR, start)
+        except ValueError:
+            end = len(kinds)
+        chain, errors = _read_block(lines, kinds, start, end, separated)
+        diagnostics += errors
         if chain is not None:
             chains.append(chain)
-        if not separated:
+        if end == len(kinds):
             return ChainSet(tuple(chains)), diagnostics
-        pos, lineno, first_block = next_pos, next_line, False
+        start = end + 1
 
 
-class _StepTable(dict):
-    """The step written on each step line seen in one document, by the line's text.
+class _LineKinds(dict):
+    """What each distinct line of one document holds, by the line's text."""
 
-    Looking up a line of a block _BLOCK_RE matched reads its step; such a
-    comment line maps to None and is not kept.
-    """
-
-    def __missing__(self, line: str) -> Step | None:
-        if line[0] == "#":
-            return None
-        keyword, _, name = line[:-1].partition(' "')
-        if "\\" in name:
-            name = _ESCAPE_RE.sub(_unescape, name)
-        step = self[line] = (_STEP_KEYWORDS[keyword], name)
-        return step
+    def __missing__(self, line: str) -> _Kind:
+        kind = self[line] = _classify(line)
+        return kind
 
 
-def _canonical_block(
-    source: str, pos: int, lineno: int, match: re.Match[str], table: _StepTable
-) -> tuple[FailureChain | None, list[Diagnostic]]:
-    """Read a block _BLOCK_RE matched at pos, whose first line is lineno."""
-    # The pattern has checked every line, so splitting at LF is enough.
-    lines = match[3].split("\n")
-    lines.pop()
-    chain = FailureChain(match[1], match[2], tuple(filter(None, map(table.__getitem__, lines))))
-    if step_identities(chain) is not None:
-        return chain, []
-    body_line = lineno + source.count("\n", pos, match.start(3))
-    step_lines = [(body_line + i, line) for i, line in enumerate(lines) if line[0] != "#"]
-    first_line = lineno + source.count("\n", pos, match.start(1))
-    return None, _violation_diagnostics(chain, step_lines, first_line)
-
-
-def _block_lines(source: str, pos: int, lineno: int) -> tuple[list[tuple[int, str, str]], int, int, bool]:
-    """Read the block at pos one line at a time, up to its separator or the end.
-
-    Returns its header and step lines as (line number, line, stripped
-    line), where the next block starts (position and line number), and
-    whether a separator ended this one. Blank lines and comments are dropped.
-    """
-    content: list[tuple[int, str, str]] = []
-    end = len(source)
-    while True:
-        newline = source.find("\n", pos)
-        stop = end if newline < 0 else newline
-        line = source[pos:stop]
-        stripped = line.strip()
-        if stripped == "---":
-            return content, min(stop + 1, end), lineno + 1, True
-        if stripped and stripped[0] != "#":
-            content.append((lineno, line, stripped))
-        if newline < 0:
-            return content, end, lineno, False
-        pos, lineno = newline + 1, lineno + 1
-
-
-def _column(line: str) -> int:
-    return len(line) - len(line.lstrip()) + 1
-
-
-def _fast_step(stripped: str) -> Step | None:
-    """The step on a well-formed step line; None leaves the line to the full path."""
-    match = _STEP_RE.fullmatch(stripped)
-    if match is None:
+def _classify(line: str) -> _Kind:
+    """What one line holds, read from its text alone."""
+    match = _LINE_RE.fullmatch(line)
+    if match is not None:
+        key, text, keyword, name = match.groups()
+        if key is not None:
+            return _Header(key.casefold(), text.strip(), match.start(1) + 1)
+        category = _STEP_KEYWORDS.get(keyword.casefold())
+        if category is not None:
+            return category, _ESCAPE_RE.sub(_unescape, name) if "\\" in name else name
+    stripped = line.strip()
+    if not stripped or stripped[0] == "#":
         return None
-    category = _STEP_KEYWORDS.get(match[1].casefold())
+    if stripped == _SEPARATOR:
+        return _SEPARATOR
+    column = _column(line)
+    keyword = _KEYWORD_RE.match(stripped)
+    if keyword is None:
+        return _LineError(column, f"expected a header or step line, got {stripped[:30]!r}")
+    word = keyword[0].casefold()
+    category = _STEP_KEYWORDS.get(word)
     if category is None:
-        return None
-    name = match[2]
-    if "\\" in name:
-        name = _ESCAPE_RE.sub(_unescape, name)
-    return category, name
+        if word in ("alert", "case"):
+            return _LineError(column, f"header must be written '{word}: <text>'")
+        return _LineError(column, f"unknown category '{keyword[0]}'")
+    # _LINE_RE reads every well-formed name, so the scanner finds the error.
+    return _parse_quoted_name(stripped[keyword.end() :], column + keyword.end())[1]
 
 
-def _unescape(match: re.Match[str]) -> str:
-    return _UNESCAPES[match[1]]
-
-
-def _parse_block(
-    content: list[tuple[int, str, str]], table: _StepTable
+def _read_block(
+    lines: list[str], kinds: list[_Kind], start: int, end: int, separated: bool
 ) -> tuple[FailureChain | None, list[Diagnostic]]:
+    """Read the block on kinds[start:end], which is lines start + 1 to end."""
     errors: list[Diagnostic] = []
     headers: dict[str, str] = {}
     steps: list[Step] = []
-    step_lines: list[tuple[int, str]] = []
-
-    for lineno, line, stripped in content:
-        step = table.get(stripped)
-        if step is None:
-            step = _fast_step(stripped)
-            if step is not None:
-                table[stripped] = step
-        if step is not None:
-            steps.append(step)
-            step_lines.append((lineno, line))
+    for lineno, kind in enumerate(kinds[start:end], start + 1):
+        if type(kind) is tuple:
+            steps.append(kind)
+        elif kind is None:
             continue
-
-        # Headers, unknown keywords and malformed names.
-        column = _column(line)
-        header = _HEADER_RE.match(stripped)
-        if header:
-            key = header.group(1).casefold()
+        elif type(kind) is _Header:
             if steps:
-                errors.append(
-                    Diagnostic(
-                        Severity.ERROR, lineno, column, f"'{key}:' header after the first step"
-                    )
-                )
-            elif key in headers:
-                errors.append(
-                    Diagnostic(Severity.ERROR, lineno, column, f"duplicate header '{key}:'")
-                )
+                message = f"'{kind.key}:' header after the first step"
+            elif kind.key in headers:
+                message = f"duplicate header '{kind.key}:'"
             else:
-                headers[key] = header.group(2).strip()
-            continue
-
-        keyword_match = _KEYWORD_RE.match(stripped)
-        if not keyword_match:
-            errors.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    lineno,
-                    column,
-                    f"expected a header or step line, got {stripped[:30]!r}",
-                )
-            )
-            continue
-        keyword = keyword_match.group(0)
-        category = _STEP_KEYWORDS.get(keyword.casefold())
-        if category is None:
-            if keyword.casefold() in ("alert", "case"):
-                message = f"header must be written '{keyword.casefold()}: <text>'"
-            else:
-                message = f"unknown category '{keyword}'"
-            errors.append(Diagnostic(Severity.ERROR, lineno, column, message))
-            continue
-        name, error = _parse_quoted_name(
-            stripped[keyword_match.end() :], lineno, column + keyword_match.end()
-        )
-        if error is not None:
-            errors.append(error)
-            continue
-        steps.append((category, name))
-        step_lines.append((lineno, line))
-
-    first_line = content[0][0]
+                headers[kind.key] = kind.text
+                continue
+            errors.append(Diagnostic(Severity.ERROR, lineno, kind.column, message))
+        else:
+            errors.append(Diagnostic(Severity.ERROR, lineno, *kind))
+    if not (steps or headers or errors):
+        if not separated:
+            return None, []
+        return None, [Diagnostic(Severity.WARNING, min(start + 1, len(kinds)), 1, "empty chain block")]
+    first_line = start + 1
+    while kinds[first_line - 1] is None:
+        first_line += 1
     for key in ("alert", "case"):
         if key not in headers:
             errors.append(
@@ -286,12 +201,11 @@ def _parse_block(
             )
     if errors:
         return None, errors
-
     chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
-    errors = _violation_diagnostics(chain, step_lines, first_line)
-    if errors:
-        return None, errors
-    return chain, []
+    if step_identities(chain) is not None:
+        return chain, []
+    step_lines = [(i + 1, lines[i]) for i in range(start, end) if type(kinds[i]) is tuple]
+    return None, _violation_diagnostics(chain, step_lines, first_line)
 
 
 def _violation_diagnostics(
@@ -311,14 +225,20 @@ def _violation_diagnostics(
     return errors
 
 
-def _parse_quoted_name(rest: str, lineno: int, column: int) -> tuple[str, None] | tuple[None, Diagnostic]:
+def _column(line: str) -> int:
+    return len(line) - len(line.lstrip()) + 1
+
+
+def _unescape(match: re.Match[str]) -> str:
+    return _UNESCAPES[match[1]]
+
+
+def _parse_quoted_name(rest: str, column: int) -> tuple[str, None] | tuple[None, _LineError]:
     offset = len(rest) - len(rest.lstrip())
     column += offset
     rest = rest.lstrip()
     if not rest.startswith('"'):
-        return None, Diagnostic(
-            Severity.ERROR, lineno, column, 'expected a quoted name after the category keyword'
-        )
+        return None, _LineError(column, "expected a quoted name after the category keyword")
     chars: list[str] = []
     i = 1
     while i < len(rest):
@@ -328,9 +248,7 @@ def _parse_quoted_name(rest: str, lineno: int, column: int) -> tuple[str, None] 
                 break
             replacement = _UNESCAPES.get(rest[i + 1])
             if replacement is None:
-                return None, Diagnostic(
-                    Severity.ERROR,
-                    lineno,
+                return None, _LineError(
                     column + i,
                     f"invalid escape '\\{rest[i + 1]}' in quoted name",
                 )
@@ -340,23 +258,19 @@ def _parse_quoted_name(rest: str, lineno: int, column: int) -> tuple[str, None] 
         if ch == '"':
             trailing = rest[i + 1 :]
             if trailing.strip():
-                return None, Diagnostic(
-                    Severity.ERROR,
-                    lineno,
+                return None, _LineError(
                     column + i + 1 + (len(trailing) - len(trailing.lstrip())),
                     f"unexpected text after the quoted name: {trailing.strip()[:20]!r}",
                 )
             return "".join(chars), None
         if (ch < " " and ch != "\t") or "\x7f" <= ch <= "\x9f":
-            return None, Diagnostic(
-                Severity.ERROR,
-                lineno,
+            return None, _LineError(
                 column + i,
                 f"control character U+{ord(ch):04X} in quoted name",
             )
         chars.append(ch)
         i += 1
-    return None, Diagnostic(Severity.ERROR, lineno, column, "unterminated quoted name")
+    return None, _LineError(column, "unterminated quoted name")
 
 
 def _escape_name(name: str) -> str:

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from keyfactors.dsl import Diagnostic, Severity, _escape_name
+from keyfactors.dsl import _UNWRITABLE_RE, Diagnostic, Severity, _escape_name
 from keyfactors.model import DEFAULT_FIELDS
 
 UNSPECIFIED_CASE = "unspecified"
@@ -105,6 +105,10 @@ def _parse_risks(value: object, index: int) -> tuple[str, ...]:
             continue
         if "\n" in risk or "\r" in risk:
             raise MalformedRecordError(index, "risk text cannot span lines")
+        # The risk becomes the harm step's name, which cannot hold such a character.
+        control = _UNWRITABLE_RE.search(risk)
+        if control:
+            raise MalformedRecordError(index, f"risk text holds control character U+{ord(control[0]):04X}")
         risks.append(risk)
     return tuple(risks)
 

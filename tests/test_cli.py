@@ -342,6 +342,13 @@ def test_import_rapex_lone_surrogate_exits_one_and_writes_nothing(tmp_path, caps
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+def test_import_rapex_refuses_a_risk_with_a_control_character(tmp_path, capsys):
+    alerts = write(tmp_path, "alerts.json", json.dumps([{"alertNumber": "A1", "risk": "bu\u0001rn"}]))
+    assert main(["import-rapex", alerts, "-d", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: record 1: risk text holds control character U+0001\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["alerts.json"]
+
+
 def test_write_atomic_removes_its_temp_file_on_any_error(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         cli._write_atomic(tmp_path / "out.chains", "burn\ud800")

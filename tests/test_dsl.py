@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from unittest import mock
 
 from hypothesis import given, settings
@@ -13,13 +14,21 @@ from keyfactors.dsl import (
     _STEP_KEYWORDS,
     Diagnostic,
     Severity,
+    _LineError,
+    _classify,
     _escape_name,
-    _fast_step,
     _parse_quoted_name,
     parse_document,
     serialize_document,
 )
-from keyfactors.model import ChainSet, ChainValidationError, FactorCategory, FailureChain, Violation
+from keyfactors.model import (
+    ChainSet,
+    ChainValidationError,
+    FactorCategory,
+    FailureChain,
+    Violation,
+    validate_chain,
+)
 
 C = FactorCategory
 
@@ -219,18 +228,25 @@ FAST_PATH_ALPHABET = '"\\nrtx \t\u00a0äß€漢'
     st.sampled_from(['"', "", '" x', '"x"', '\\"', ' "\t']),
     st.text(alphabet=FAST_PATH_ALPHABET, min_size=1, max_size=16).filter(lambda t: t.strip()),
 )
-def test_fast_path_agrees_with_the_scanner(keyword, gap, body, ending, name):
-    # Any line: the fast path either declines or accepts with the scanner's name.
-    stripped = f'{keyword}{gap}"{body}{ending}'.strip()
-    fast = _fast_step(stripped)
-    if fast is not None:
-        end = _KEYWORD_RE.match(stripped).end()
-        assert _parse_quoted_name(stripped[end:], 1, 1 + end) == (fast[1], None)
-        assert fast[0] is _STEP_KEYWORDS[keyword.casefold()]
-    # A line as the serializer writes it never leaves the fast path.
+def test_line_classifier_agrees_with_the_scanner(keyword, gap, body, ending, name):
+    # Any line after a known keyword: the classifier reads a step exactly when
+    # the scanner does, with the scanner's name, and otherwise gives its error.
+    line = f'{keyword}{gap}"{body}{ending}'
+    stripped = line.strip()
+    end = _KEYWORD_RE.match(stripped).end()
+    scanned_name, scanned_error = _parse_quoted_name(stripped[end:], 1 + end)
+    kind = _classify(line)
+    category = _STEP_KEYWORDS.get(keyword.casefold())
+    if category is None:
+        assert type(kind) is _LineError
+    elif scanned_error is None:
+        assert type(kind) is tuple and kind == (category, scanned_name)
+    else:
+        assert kind == scanned_error
+    # A line as the serializer writes it is always read as its step.
     if keyword.casefold() in _STEP_KEYWORDS:
         written = f'{keyword}{gap}"{_escape_name(name)}"'
-        assert _fast_step(written) == (_STEP_KEYWORDS[keyword.casefold()], name)
+        assert _classify(written) == (_STEP_KEYWORDS[keyword.casefold()], name)
 
 
 INTAKE_DEFECTS = {
@@ -294,7 +310,7 @@ def test_diagnostics_and_violations_are_immutable_values():
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x1b", "\x1f", "\r", "\x7f", "\x85", "\x9f"])
 @pytest.mark.parametrize("indent", ["", "  "])
 def test_control_character_in_a_name_is_an_error_at_its_column(char, indent):
-    # Unindented, the block pattern sees the line first; indented, only the per-line path does.
+    # The line is classified once, from its own text, so its indent only shifts the column.
     doc = f'alert: a\ncase: c\n{indent}component "plug {char}x"\nharm "h"\n---\n' + HAIR_DRYER_BURN
     chain_set, diagnostics = parse_document(doc)
     assert [c.case_label for c in chain_set] == ["burn"]
@@ -317,14 +333,98 @@ def test_serialize_refuses_a_name_with_a_control_character(char):
         serialize_document(bad)
 
 
-def test_a_document_in_the_serializers_form_is_read_by_the_block_pattern():
-    doc = "# corpus\n" + HAIR_DRYER_BURN + "---\n" + HAIR_DRYER_BURN.replace("case: burn\n", "case: burn\n# note\n")
-    with mock.patch.object(dsl, "_block_lines", side_effect=AssertionError("line path used")):
+def test_each_distinct_line_is_classified_once():
+    # The second block repeats the first block's lines around a syntax error,
+    # the third repeats them with the harm moved up.
+    defective = HAIR_DRYER_BURN.replace('harm "burn"\n', '  gizmo "x"\nharm "burn"\n')
+    misplaced = HAIR_DRYER_BURN.replace('harm "burn"\n', "").replace("case: burn\n", 'case: burn\nharm "burn"\n')
+    doc = HAIR_DRYER_BURN + "---\n" + defective + "---\n" + misplaced
+    classified = Counter()
+
+    def counting(line):
+        classified[line] += 1
+        return _classify(line)
+
+    with mock.patch.object(dsl, "_classify", side_effect=counting):
         chain_set, diagnostics = parse_document(doc)
-    assert len(chain_set) == 2 and diagnostics == []
+    assert classified == Counter(set(doc.split("\n")))
+    assert [c.case_label for c in chain_set] == ["burn"]
+    assert diagnostics == [
+        Diagnostic(Severity.ERROR, 17, 3, "unknown category 'gizmo'"),
+        Diagnostic(Severity.ERROR, 22, 1, "HarmNotTerminal: harm 'burn' at step 1 is not the final step"),
+    ]
 
 
-NEVER = re.compile(r"(?!)")
+REFERENCE_HEADER_RE = re.compile(r"^(alert|case):\s?(.*)$", re.IGNORECASE)
+
+
+def reference_parse(source):
+    """Oracle: each block read one stripped line at a time, every step line by the scanner."""
+    blocks, starts = [[]], [1]
+    for lineno, line in enumerate(source.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped == "---":
+            blocks.append([])
+            starts.append(lineno + 1)
+        elif stripped and stripped[0] != "#":
+            blocks[-1].append((lineno, line, stripped))
+    last_line = source.count("\n") + 1
+    chains, diagnostics = [], []
+    for start, content in zip(starts, blocks):
+        if not content:
+            if len(blocks) > 1:
+                diagnostics.append(Diagnostic(Severity.WARNING, min(start, last_line), 1, "empty chain block"))
+            continue
+        errors, headers, steps, step_lines = [], {}, [], []
+        for lineno, line, stripped in content:
+            column = len(line) - len(line.lstrip()) + 1
+            header = REFERENCE_HEADER_RE.match(stripped)
+            if header:
+                key = header.group(1).casefold()
+                if steps:
+                    message = f"'{key}:' header after the first step"
+                elif key in headers:
+                    message = f"duplicate header '{key}:'"
+                else:
+                    headers[key] = header.group(2).strip()
+                    continue
+                errors.append(Diagnostic(Severity.ERROR, lineno, column, message))
+                continue
+            keyword = _KEYWORD_RE.match(stripped)
+            if not keyword:
+                message = f"expected a header or step line, got {stripped[:30]!r}"
+                errors.append(Diagnostic(Severity.ERROR, lineno, column, message))
+                continue
+            category = _STEP_KEYWORDS.get(keyword[0].casefold())
+            if category is None:
+                if keyword[0].casefold() in ("alert", "case"):
+                    message = f"header must be written '{keyword[0].casefold()}: <text>'"
+                else:
+                    message = f"unknown category '{keyword[0]}'"
+                errors.append(Diagnostic(Severity.ERROR, lineno, column, message))
+                continue
+            name, error = _parse_quoted_name(stripped[keyword.end() :], column + keyword.end())
+            if error is not None:
+                errors.append(Diagnostic(Severity.ERROR, lineno, *error))
+                continue
+            steps.append((category, name))
+            step_lines.append((lineno, column))
+        for key in ("alert", "case"):
+            if key not in headers:
+                message = f"missing required header '{key}:'"
+                errors.append(Diagnostic(Severity.ERROR, content[0][0], 1, message))
+        if not errors:
+            chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
+            for violation in validate_chain(chain):
+                if 1 <= violation.step <= len(steps):
+                    lineno, column = step_lines[violation.step - 1]
+                else:
+                    lineno, column = content[0][0], 1
+                errors.append(Diagnostic(Severity.ERROR, lineno, column, f"{violation.rule}: {violation.message}"))
+            if not errors:
+                chains.append(chain)
+        diagnostics.extend(errors)
+    return ChainSet(tuple(chains)), diagnostics
 
 
 def _upper_keyword(line):
@@ -379,7 +479,5 @@ def chain_documents(draw):
 
 @settings(max_examples=300)
 @given(chain_documents())
-def test_block_pattern_and_line_path_agree(text):
-    parsed = parse_document(text)
-    with mock.patch.object(dsl, "_BLOCK_RE", NEVER):
-        assert parse_document(text) == parsed
+def test_parse_document_agrees_with_the_reference_reader(text):
+    assert parse_document(text) == reference_parse(text)

@@ -120,6 +120,15 @@ def test_parse_alert_records_rejects_lone_surrogates(field):
     assert exc_info.value.index == 2
 
 
+@pytest.mark.parametrize("risk", ["bu\u0001rn", "sh\u0085ock", "fire, bu\u007frn"])
+def test_parse_alert_records_refuses_a_risk_with_a_control_character(risk):
+    # The risk becomes the skeleton's harm name, which the parser would reject.
+    record = {"alertNumber": "A1", "risk": risk}
+    with pytest.raises(MalformedRecordError, match="risk text holds control character U\\+00") as exc_info:
+        parse_alert_records(json.dumps([{"alertNumber": "ok", "risk": "burn\tmark"}, record]))
+    assert exc_info.value.index == 2
+
+
 def test_alert_record_requires_nonempty_number():
     with pytest.raises(ValueError):
         AlertRecord("   ")
