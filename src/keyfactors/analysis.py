@@ -8,18 +8,22 @@ clears a configurable threshold. Region and key decisions are made on
 the integer sums, each axis's maximum and the thresholds' exact values,
 by integer cross-multiplication; the float normalized values serve
 display and plotting only.
+
+AnalysisConfig and FactorScore are NamedTuples, so they compare equal to
+plain tuples holding the same fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from decimal import Decimal
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from keyfactors.matrix import SumsTable, build_matrix, sums
 from keyfactors.model import ChainSet, Factor
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 class Region(Enum):
@@ -29,8 +33,9 @@ class Region(Enum):
     ISOLATED = "isolated"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(
+    NamedTuple("AnalysisConfig", [("dominant_ratio", float), ("reactive_ratio", float), ("key_threshold", float)])
+):
     """Thresholds for classification and key selection.
 
     dominant_ratio / reactive_ratio bound the normalized active:passive
@@ -40,27 +45,29 @@ class AnalysisConfig:
     Decimal("0.1"), not the float 0.1, to mean one tenth.
     """
 
-    dominant_ratio: float | Decimal = 2.0
-    reactive_ratio: float | Decimal = 0.5
-    key_threshold: float | Decimal = 75.0
-    # (numerator, denominator) of each threshold above, denominator > 0.
-    _exact: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        thresholds = (self.dominant_ratio, self.reactive_ratio, self.key_threshold)
+    # No __slots__: each config keeps _exact, the (numerator, denominator)
+    # of each threshold with denominator > 0, outside the compared fields.
+    def __new__(
+        cls,
+        dominant_ratio: float | Decimal = 2.0,
+        reactive_ratio: float | Decimal = 0.5,
+        key_threshold: float | Decimal = 75.0,
+    ) -> AnalysisConfig:
+        thresholds = (dominant_ratio, reactive_ratio, key_threshold)
         if not all(map(math.isfinite, thresholds)):
             raise ValueError("ratios and key_threshold must be finite")
-        if self.dominant_ratio <= 0 or self.reactive_ratio <= 0:
+        if dominant_ratio <= 0 or reactive_ratio <= 0:
             raise ValueError("ratios must be positive")
-        if self.reactive_ratio >= self.dominant_ratio:
+        if reactive_ratio >= dominant_ratio:
             raise ValueError("reactive_ratio must be below dominant_ratio")
-        if not 0 <= self.key_threshold <= 200:
+        if not 0 <= key_threshold <= 200:
             raise ValueError("key_threshold must lie in [0, 200]")
-        object.__setattr__(self, "_exact", tuple(t.as_integer_ratio() for t in thresholds))
+        cfg = super().__new__(cls, *thresholds)
+        cfg._exact = tuple(t.as_integer_ratio() for t in thresholds)
+        return cfg
 
 
-@dataclass(frozen=True)
-class FactorScore:
+class FactorScore(NamedTuple):
     """All per-factor analysis results for one factor."""
 
     factor: Factor

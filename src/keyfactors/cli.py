@@ -31,13 +31,14 @@ import itertools
 import os
 import sys
 import tempfile
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, TextIO
 
 from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
 
 if TYPE_CHECKING:
+    from decimal import Decimal
+
     from keyfactors.analysis import AnalysisConfig, FactorScore
     from keyfactors.matrix import SumsTable
 
@@ -151,6 +152,8 @@ def _number(text: str) -> Decimal:
     Magnitudes beyond a float's range are refused: the exact ratio of a
     value such as 1e-999999999 would take gigabytes.
     """
+    from decimal import Decimal, InvalidOperation
+
     try:
         value = Decimal(text)
     except InvalidOperation:
@@ -275,10 +278,10 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
             failed = True
         elif args.strict and diagnostics:
             failed = True
-        combined.extend(chain_set.chains)
+        combined.extend(chain_set)
     if failed:
         return None
-    return ChainSet(tuple(combined))
+    return ChainSet(combined)
 
 
 def _write_lines(lines: Iterable[str]) -> None:

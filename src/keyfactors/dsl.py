@@ -27,11 +27,12 @@ broken chain invariant is excluded and reported with one error
 diagnostic per problem; warnings never exclude anything.
 
 A document is read in one pass. It is split at LF, and each distinct line
-is classified once, from its own text, into what it holds: a step
-(category, name), an ``alert:`` or ``case:`` header, a separator, a
-comment or blank line, or a syntax error at its column. One pattern reads
-headers and well-formed step lines; the character scanner runs only on a
-step line the pattern rejects, to place the error. The blocks between
+is classified once per process, from its own text, into what it holds: a
+step (category, name), an ``alert:`` or ``case:`` header, a separator, a
+comment or blank line, or a syntax error at its column. The table of line
+kinds is shared by every document and starts over when full. One pattern
+reads headers and well-formed step lines; the character scanner runs only
+on a step line the pattern rejects, to place the error. The blocks between
 separators are then walked over those kinds, which adds each line's
 number. A block with both headers and no error whose chain
 step_identities accepts is kept; any other block is reported from the
@@ -50,6 +51,7 @@ from keyfactors.model import (
     FactorCategory,
     FailureChain,
     Step,
+    _Memo,
     step_identities,
     validate_chain,
 )
@@ -107,7 +109,7 @@ _UNWRITABLE_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
 def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
     """Parse a chain document; never raises on malformed input."""
     lines = source.split("\n")
-    kinds = list(map(_LineKinds().__getitem__, lines))
+    kinds = list(map(_LINE_KINDS.__getitem__, lines))
     # Only a document with a separator reports empty blocks.
     separated = _SEPARATOR in kinds
     diagnostics: list[Diagnostic] = []
@@ -123,16 +125,8 @@ def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
         if chain is not None:
             chains.append(chain)
         if end == len(kinds):
-            return ChainSet(tuple(chains)), diagnostics
+            return ChainSet(chains), diagnostics
         start = end + 1
-
-
-class _LineKinds(dict):
-    """What each distinct line of one document holds, by the line's text."""
-
-    def __missing__(self, line: str) -> _Kind:
-        kind = self[line] = _classify(line)
-        return kind
 
 
 def _classify(line: str) -> _Kind:
@@ -162,6 +156,10 @@ def _classify(line: str) -> _Kind:
         return _LineError(column, f"unknown category '{keyword[0]}'")
     # _LINE_RE reads every well-formed name, so the scanner finds the error.
     return _parse_quoted_name(stripped[keyword.end() :], column + keyword.end())[1]
+
+
+# What each distinct line holds, by the line's text, shared by every document.
+_LINE_KINDS = _Memo(_classify)
 
 
 def _read_block(

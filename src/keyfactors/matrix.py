@@ -10,14 +10,16 @@ Merged failure networks are almost all zeros, so the matrix stores only
 its nonzero cells (edges). Building, summing, merging and walking it cost
 O(edges), not O(factors²). The dense CSV export still writes factors² cells,
 but as comma runs between the nonzero cells, in O(factors + edges) steps.
+
+RelationshipMatrix and SumsTable are NamedTuples, so they compare equal
+to plain tuples holding the same fields.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from keyfactors.model import (
     CATEGORY_ORDER,
@@ -31,8 +33,7 @@ from keyfactors.model import (
 )
 
 
-@dataclass(frozen=True)
-class RelationshipMatrix:
+class RelationshipMatrix(NamedTuple("RelationshipMatrix", [("factors", tuple[Factor, ...]), ("edges", Mapping)])):
     """Sparse transition counts over an ordered factor list.
 
     ``edges`` maps 0-based (row, column) factor indices to positive
@@ -41,17 +42,16 @@ class RelationshipMatrix:
     nonzero cells row by row.
     """
 
-    factors: tuple[Factor, ...]
-    edges: Mapping[tuple[int, int], int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.factors)
-        for (r, c), count in self.edges.items():
+    def __new__(cls, factors: tuple[Factor, ...], edges: Mapping[tuple[int, int], int]) -> RelationshipMatrix:
+        n = len(factors)
+        for (r, c), count in edges.items():
             if not (0 <= r < n and 0 <= c < n) or count <= 0:
                 raise ValueError(f"edge ({r}, {c}) = {count}: index out of range or count not positive")
         # One integer sort key per cell sorts much faster than (row, col) tuples.
-        ordered = sorted(self.edges.items(), key=lambda item: item[0][0] * n + item[0][1])
-        object.__setattr__(self, "edges", MappingProxyType(dict(ordered)))
+        ordered = sorted(edges.items(), key=lambda item: item[0][0] * n + item[0][1])
+        return super().__new__(cls, factors, MappingProxyType(dict(ordered)))
 
     @property
     def size(self) -> int:
@@ -61,17 +61,17 @@ class RelationshipMatrix:
         return sum(self.edges.values())
 
 
-@dataclass(frozen=True)
-class SumsTable:
-    """Active and passive sums per factor, in factor id order."""
+class SumsTable(
+    NamedTuple("SumsTable", [("factors", tuple[Factor, ...]), ("active", tuple[int, ...]), ("passive", tuple[int, ...])])
+):
+    """Active and passive sums per factor, in factor id order; len() counts factors."""
 
-    factors: tuple[Factor, ...]
-    active: tuple[int, ...]
-    passive: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (len(self.factors) == len(self.active) == len(self.passive)):
+    def __new__(cls, factors: tuple[Factor, ...], active: tuple[int, ...], passive: tuple[int, ...]) -> SumsTable:
+        if not (len(factors) == len(active) == len(passive)):
             raise ValueError("factors, active and passive must have equal length")
+        return super().__new__(cls, factors, active, passive)
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -5,14 +5,17 @@ factors (components, functions, control and noise factors, actions,
 effects) that ends in exactly one harm. Factors are identified by their
 category plus a whitespace- and case-normalized name, so different
 spellings of the same factor merge across chains.
+
+The value types are tuples (NamedTuples, and ChainSet a tuple of its
+chains), so they are immutable, hash and compare by value, and compare
+equal to plain tuples holding the same values.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class EmptyNameError(ValueError):
@@ -72,8 +75,7 @@ def normalize_name(raw: str) -> str:
 Identity = tuple[FactorCategory, str]
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One influencing factor. Identity is (category, canonical_key)."""
 
     category: FactorCategory
@@ -93,42 +95,39 @@ class Factor:
 Step = tuple[FactorCategory, str]
 
 
-@dataclass(frozen=True)
-class FailureChain:
-    """One documented failure scenario.
+class FailureChain(
+    NamedTuple("FailureChain", [("source_alert", str), ("case_label", str), ("steps", tuple[Step, ...])])
+):
+    """One documented failure scenario; len() counts its steps.
 
     Construction is permissive so that malformed chains can still be
     inspected; invariants are enforced by validate_chain at the points
     of use (matrix building, serialization).
     """
 
-    source_alert: str
-    case_label: str
-    steps: tuple[Step, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source_alert", self.source_alert.strip())
-        object.__setattr__(self, "case_label", self.case_label.strip())
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __new__(cls, source_alert: str, case_label: str, steps: Iterable[Step]) -> FailureChain:
+        return super().__new__(cls, source_alert.strip(), case_label.strip(), tuple(steps))
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class ChainSet:
+class ChainSet(tuple):
     """An ordered collection of failure chains; duplicates are allowed."""
 
-    chains: tuple[FailureChain, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chains", tuple(self.chains))
+    def __new__(cls, chains: Iterable[FailureChain] = ()) -> ChainSet:
+        return super().__new__(cls, chains)
 
-    def __iter__(self) -> Iterator[FailureChain]:
-        return iter(self.chains)
+    @property
+    def chains(self) -> tuple[FailureChain, ...]:
+        return tuple(self)
 
-    def __len__(self) -> int:
-        return len(self.chains)
+    def __repr__(self) -> str:
+        return f"ChainSet(chains={self.chains!r})"
 
 
 TOO_SHORT = "TooShort"
@@ -160,20 +159,22 @@ class ChainValidationError(ValueError):
         super().__init__(f"invalid chains: {summary}")
 
 
-class _IdentityTable(dict):
-    """Identity by step, normalized on first lookup; forgets all when full."""
+class _Memo(dict):
+    """Values by key, computed on first lookup; forgets all when it holds ``limit`` keys."""
 
     limit = 1 << 16
 
-    def __missing__(self, step: Step) -> Identity:
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __missing__(self, key):
         if len(self) >= self.limit:
             self.clear()
-        category, name = step
-        identity = self[step] = (category, normalize_name(name))
-        return identity
+        value = self[key] = self.compute(key)
+        return value
 
 
-_IDENTITIES = _IdentityTable()
+_IDENTITIES = _Memo(lambda step: (step[0], normalize_name(step[1])))
 
 
 def step_identities(chain: FailureChain) -> list[Identity] | None:
@@ -182,8 +183,8 @@ def step_identities(chain: FailureChain) -> list[Identity] | None:
     Callers take identities from here instead of normalizing names
     themselves. Identities come from one table keyed by the step
     (category, raw name), so each distinct step is normalized once per
-    process (until the table holds ``_IdentityTable.limit`` steps and
-    starts over). On the command-line path the parser's check fills the
+    process (until the table holds ``_Memo.limit`` steps and starts
+    over). On the command-line path the parser's check fills the
     table and build_matrix's call costs one lookup per step; a chain is
     checked on every call, so a bare ChainSet is still validated in full.
     The check is cheap and exact: None means validate_chain finds at

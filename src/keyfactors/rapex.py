@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from keyfactors.dsl import _UNWRITABLE_RE, Diagnostic, Severity, _escape_name
 from keyfactors.model import DEFAULT_FIELDS
@@ -27,20 +27,21 @@ class MalformedRecordError(ValueError):
         super().__init__(f"record {index}: {message}")
 
 
-@dataclass(frozen=True)
-class AlertRecord:
+class AlertRecord(
+    NamedTuple(
+        "AlertRecord", [("alert_number", str), ("product", str), ("risk_types", tuple[str, ...]), ("description", str)]
+    )
+):
     """One safety alert: a product failure report with zero or more risks."""
 
-    alert_number: str
-    product: str = ""
-    risk_types: tuple[str, ...] = ()
-    description: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.alert_number.strip():
+    def __new__(
+        cls, alert_number: str, product: str = "", risk_types: Iterable[str] = (), description: str = ""
+    ) -> AlertRecord:
+        if not alert_number.strip():
             raise ValueError("alert_number must be nonempty")
-        object.__setattr__(self, "alert_number", self.alert_number.strip())
-        object.__setattr__(self, "risk_types", tuple(self.risk_types))
+        return super().__new__(cls, alert_number.strip(), product, tuple(risk_types), description)
 
 
 def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list[AlertRecord]:

@@ -296,7 +296,7 @@ def test_analyze_normalizes_each_distinct_step_once(tmp_path, monkeypatch):
         return normalize(name)
 
     monkeypatch.setattr(model, "normalize_name", counting)
-    monkeypatch.setattr(model, "_IDENTITIES", model._IdentityTable())
+    monkeypatch.setattr(model, "_IDENTITIES", model._Memo(model._IDENTITIES.compute))
     assert main(["analyze", *CHAIN_FILES, "-o", str(tmp_path / "report.csv")]) == 0
     # Parsing checks every chain and build_matrix looks every step up again.
     assert calls == collections.Counter(name for _, name in set(steps))
@@ -441,12 +441,14 @@ def test_case_study_script_writes_every_documented_output(tmp_path):
     assert list((out / "skeletons").glob("*.chains"))
 
 
-# Prints the keyfactors modules loaded after running the CLI on its arguments.
+# Prints the keyfactors modules loaded after running the CLI on its arguments,
+# then which of the stdlib modules the probe watches were loaded.
 MODULE_PROBE = (
     "import sys\n"
     "from keyfactors.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
     "print(*sorted(m for m in sys.modules if m.startswith('keyfactors')))\n"
+    "print('stdlib:', *sorted(m for m in ('dataclasses', 'decimal', 'inspect') if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
 
@@ -473,8 +475,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     result = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    loaded = result.stdout.splitlines()[-1].split()
-    assert loaded == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
+    *_, loaded, stdlib = result.stdout.splitlines()
+    assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
+    # No command imports dataclasses (which imports inspect); only the emitters' display rounding needs decimal.
+    assert stdlib.split() == ["stdlib:", *(["decimal"] if "emit" in layers else [])]
 
 
 SUMS_TABLE = "id,category,name,active_sum,passive_sum\n1,component,Gerät,2,0\n2,harm,burn,0,2\n"

@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +26,7 @@ from keyfactors.model import (
     FactorCategory,
     FailureChain,
     Violation,
+    _Memo,
     validate_chain,
 )
 
@@ -333,26 +333,40 @@ def test_serialize_refuses_a_name_with_a_control_character(char):
         serialize_document(bad)
 
 
-def test_each_distinct_line_is_classified_once():
+def test_each_distinct_line_is_classified_once(monkeypatch):
     # The second block repeats the first block's lines around a syntax error,
-    # the third repeats them with the harm moved up.
+    # the third repeats them with the harm moved up; a second document
+    # repeats the first document's lines once more.
     defective = HAIR_DRYER_BURN.replace('harm "burn"\n', '  gizmo "x"\nharm "burn"\n')
     misplaced = HAIR_DRYER_BURN.replace('harm "burn"\n', "").replace("case: burn\n", 'case: burn\nharm "burn"\n')
     doc = HAIR_DRYER_BURN + "---\n" + defective + "---\n" + misplaced
+    other = "# another file\n" + HAIR_DRYER_BURN.replace("case: burn", "case: scald")
     classified = Counter()
 
     def counting(line):
         classified[line] += 1
         return _classify(line)
 
-    with mock.patch.object(dsl, "_classify", side_effect=counting):
-        chain_set, diagnostics = parse_document(doc)
-    assert classified == Counter(set(doc.split("\n")))
+    monkeypatch.setattr(dsl, "_LINE_KINDS", _Memo(counting))
+    chain_set, diagnostics = parse_document(doc)
+    other_set, other_diagnostics = parse_document(other)
+    assert classified == Counter(set(doc.split("\n")) | set(other.split("\n")))
     assert [c.case_label for c in chain_set] == ["burn"]
     assert diagnostics == [
         Diagnostic(Severity.ERROR, 17, 3, "unknown category 'gizmo'"),
         Diagnostic(Severity.ERROR, 22, 1, "HarmNotTerminal: harm 'burn' at step 1 is not the final step"),
     ]
+    assert [c.case_label for c in other_set] == ["scald"] and other_diagnostics == []
+
+
+def test_line_table_starts_over_when_full(monkeypatch):
+    expected = parse_document(HAIR_DRYER_BURN)[0] * 2
+    table = _Memo(_classify)
+    table.limit = 3
+    monkeypatch.setattr(dsl, "_LINE_KINDS", table)
+    for _ in range(2):
+        assert parse_document(HAIR_DRYER_BURN + "---\n" + HAIR_DRYER_BURN) == (expected, [])
+        assert len(table) <= 3
 
 
 REFERENCE_HEADER_RE = re.compile(r"^(alert|case):\s?(.*)$", re.IGNORECASE)

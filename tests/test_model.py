@@ -158,8 +158,9 @@ def test_early_accept_agrees_with_the_full_check(chain, kind, i):
 
 
 def test_identity_table_starts_over_when_full(monkeypatch):
-    monkeypatch.setattr(model._IdentityTable, "limit", 3)
-    monkeypatch.setattr(model, "_IDENTITIES", model._IdentityTable())
+    table = model._Memo(model._IDENTITIES.compute)
+    table.limit = 3
+    monkeypatch.setattr(model, "_IDENTITIES", table)
     steps = ((C.COMPONENT, "A"), (C.EFFECT, "B"), (C.ACTION, "C"), (C.EFFECT, " b "), (C.HARM, "H"))
     expected = [(category, normalize_name(name)) for category, name in steps]
     for _ in range(2):
