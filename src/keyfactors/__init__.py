@@ -35,7 +35,7 @@ _EXPORTS = {
     "brute_force_sums": "matrix",
     "build_matrix": "matrix",
     "classify": "analysis",
-    "competition_rank": "analysis",
+    "competition_rank": "matrix",
     "export_dot": "emit",
     "export_matrix_csv": "emit",
     "export_report_csv": "emit",
@@ -43,7 +43,6 @@ _EXPORTS = {
     "import_rapex": "rapex",
     "merge": "matrix",
     "normalize_name": "model",
-    "normalize_sums": "analysis",
     "parse_alert_records": "rapex",
     "parse_document": "dsl",
     "render_scatter_svg": "emit",

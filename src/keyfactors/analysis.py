@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from keyfactors.matrix import SumsTable, build_matrix, sums
+from keyfactors.matrix import SumsTable, build_matrix, competition_rank, sums
 from keyfactors.model import ChainSet, Factor
 
 if TYPE_CHECKING:
@@ -66,6 +66,8 @@ class AnalysisConfig(
         cfg._exact = tuple(t.as_integer_ratio() for t in thresholds)
         return cfg
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both run __new__
+
 
 class FactorScore(NamedTuple):
     """All per-factor analysis results for one factor."""
@@ -81,26 +83,9 @@ class FactorScore(NamedTuple):
     key: bool
 
 
-def normalize_sums(table: SumsTable) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Scale each axis to [0, 100] by its own maximum; a zero axis stays 0."""
-    return _normalize(table.active), _normalize(table.passive)
-
-
-def _normalize(values: Sequence[int]) -> tuple[float, ...]:
-    peak = max(values, default=0)
-    if peak == 0:
-        return tuple(0.0 for _ in values)
-    return tuple(100.0 * value / peak for value in values)
-
-
-def competition_rank(values: Sequence[int]) -> tuple[int, ...]:
-    """Descending "1224" ranking: rank = 1 + number of strictly greater values."""
-    ordered = sorted(values, reverse=True)
-    first_position: dict[int, int] = {}
-    for position, value in enumerate(ordered, start=1):
-        if value not in first_position:
-            first_position[value] = position
-    return tuple(first_position[value] for value in values)
+def _normalize(values: Sequence[int], peak: int) -> tuple[float, ...]:
+    # Scale an axis to [0, 100] by its maximum ``peak``; a zero axis stays 0.
+    return tuple(100.0 * value / peak for value in values) if peak else (0.0,) * len(values)
 
 
 def classify(active_sum: int, passive_sum: int, active_max: int, passive_max: int, cfg: AnalysisConfig) -> Region:
@@ -147,9 +132,10 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
     """
     cfg = cfg or AnalysisConfig()
     table = sums(build_matrix(data)) if isinstance(data, ChainSet) else data
-    active_norm, passive_norm = normalize_sums(table)
     active_max = max(table.active, default=0)
     passive_max = max(table.passive, default=0)
+    active_norm = _normalize(table.active, active_max)
+    passive_norm = _normalize(table.passive, passive_max)
     active_rank = competition_rank(table.active)
     passive_rank = competition_rank(table.passive)
     return tuple(

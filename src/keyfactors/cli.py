@@ -17,8 +17,8 @@ file writes are atomic (temp file plus rename), so rerunning with
 unchanged inputs rewrites identical bytes.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
-never load the matrix, analysis or emit layers, and `dot` never loads
-analysis.
+never load the matrix, analysis or emit layers, and `matrix` and `dot`
+never load analysis.
 """
 
 from __future__ import annotations
@@ -168,17 +168,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from keyfactors.analysis import competition_rank
     from keyfactors.emit import export_matrix_csv
-    from keyfactors.matrix import build_matrix, sums
+    from keyfactors.matrix import build_matrix
 
     chains = _load_chains(args)
     if chains is None:
         return 1
-    m = build_matrix(chains)
-    table = sums(m)
-    text = export_matrix_csv(m, table, competition_rank(table.active), competition_rank(table.passive))
-    _write_output(text, args.output)
+    _write_output(export_matrix_csv(build_matrix(chains)), args.output)
     return 0
 
 

@@ -286,9 +286,8 @@ def serialize_document(chains: ChainSet) -> str:
     """
     parts: list[str] = []
     for index, chain in enumerate(chains):
-        violations = validate_chain(chain)
-        if violations:
-            raise ChainValidationError([(index, violations)])
+        if step_identities(chain) is None:
+            raise ChainValidationError([(index, validate_chain(chain))])
         for field_name, value in (("alert", chain.source_alert), ("case", chain.case_label)):
             if "\n" in value or "\r" in value:
                 raise ValueError(f"chain {index}: {field_name} text cannot span lines")

@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
-from keyfactors.matrix import RelationshipMatrix, SumsTable
+from keyfactors.matrix import RelationshipMatrix, competition_rank, sums
 from keyfactors.model import FactorCategory
 
 if TYPE_CHECKING:
@@ -36,20 +36,18 @@ def y_pixel(active_norm: float) -> float:
     return _CANVAS - _MARGIN - active_norm / 100.0 * (_CANVAS - 2 * _MARGIN)
 
 
-def export_matrix_csv(
-    matrix: RelationshipMatrix,
-    table: SumsTable,
-    active_ranks: Sequence[int],
-    passive_ranks: Sequence[int],
-) -> str:
+def export_matrix_csv(matrix: RelationshipMatrix) -> str:
     """Matrix grid with trailing active sum/rank columns and passive rows.
 
+    The sums and their competition ranks are derived from the matrix.
     Grid cells are integers or empty and never need quoting, so each grid
     row is its quoted label followed by comma runs between the nonzero
     cells: the work is O(factors + edges), and the n² empty cells are
     written by string repetition. The header and the passive rows go
     through csv.writer.
     """
+    table = sums(matrix)
+    active_ranks = competition_rank(table.active)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     labels = [factor.label for factor in matrix.factors]
@@ -77,7 +75,7 @@ def export_matrix_csv(
         buffer.write("".join(row))
     if n:
         writer.writerow(["passive_sum"] + list(table.passive) + ["", ""])
-        writer.writerow(["passive_rank"] + list(passive_ranks) + ["", ""])
+        writer.writerow(["passive_rank"] + list(competition_rank(table.passive)) + ["", ""])
     return buffer.getvalue()
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from keyfactors.model import (
     CATEGORY_ORDER,
@@ -53,6 +53,8 @@ class RelationshipMatrix(NamedTuple("RelationshipMatrix", [("factors", tuple[Fac
         ordered = sorted(edges.items(), key=lambda item: item[0][0] * n + item[0][1])
         return super().__new__(cls, factors, MappingProxyType(dict(ordered)))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both run __new__
+
     @property
     def size(self) -> int:
         return len(self.factors)
@@ -64,7 +66,7 @@ class RelationshipMatrix(NamedTuple("RelationshipMatrix", [("factors", tuple[Fac
 class SumsTable(
     NamedTuple("SumsTable", [("factors", tuple[Factor, ...]), ("active", tuple[int, ...]), ("passive", tuple[int, ...])])
 ):
-    """Active and passive sums per factor, in factor id order; len() counts factors."""
+    """Active and passive sums per factor, in the order of ``factors``; len() counts factors."""
 
     __slots__ = ()
 
@@ -72,6 +74,8 @@ class SumsTable(
         if not (len(factors) == len(active) == len(passive)):
             raise ValueError("factors, active and passive must have equal length")
         return super().__new__(cls, factors, active, passive)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both run __new__
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -166,6 +170,16 @@ def sums(matrix: RelationshipMatrix) -> SumsTable:
         active[r] += count
         passive[c] += count
     return SumsTable(matrix.factors, tuple(active), tuple(passive))
+
+
+def competition_rank(values: Sequence[int]) -> tuple[int, ...]:
+    """Descending "1224" ranking: rank = 1 + number of strictly greater values."""
+    ordered = sorted(values, reverse=True)
+    first_position: dict[int, int] = {}
+    for position, value in enumerate(ordered, start=1):
+        if value not in first_position:
+            first_position[value] = position
+    return tuple(first_position[value] for value in values)
 
 
 def brute_force_sums(chains: ChainSet) -> SumsTable:

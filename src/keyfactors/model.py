@@ -101,7 +101,7 @@ class FailureChain(
     """One documented failure scenario; len() counts its steps.
 
     Construction is permissive so that malformed chains can still be
-    inspected; invariants are enforced by validate_chain at the points
+    inspected; invariants are enforced by step_identities at the points
     of use (matrix building, serialization).
     """
 
@@ -109,6 +109,8 @@ class FailureChain(
 
     def __new__(cls, source_alert: str, case_label: str, steps: Iterable[Step]) -> FailureChain:
         return super().__new__(cls, source_alert.strip(), case_label.strip(), tuple(steps))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both run __new__
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -188,7 +190,7 @@ def step_identities(chain: FailureChain) -> list[Identity] | None:
     table and build_matrix's call costs one lookup per step; a chain is
     checked on every call, so a bare ChainSet is still validated in full.
     The check is cheap and exact: None means validate_chain finds at
-    least one violation, a list means it finds none.
+    least one violation (so callers run it only then), a list means it finds none.
     """
     steps = chain.steps
     try:
@@ -207,20 +209,13 @@ def step_identities(chain: FailureChain) -> list[Identity] | None:
 
 
 def validate_chain(chain: FailureChain) -> list[Violation]:
-    """Check every chain invariant, reporting violations in step order.
+    """Every broken chain invariant, in step order.
 
     An empty list means the chain is accepted by the matrix builder.
     MissingHarm is suppressed when a misplaced harm already explains why
-    the final step is not the harm. A valid chain is accepted by the
-    step_identities check alone; the violation list is built only when
-    that check fails.
+    the final step is not the harm. Callers ask step_identities first
+    and call this only when it returns None, to say why.
     """
-    if step_identities(chain) is not None:
-        return []
-    return _violations(chain)
-
-
-def _violations(chain: FailureChain) -> list[Violation]:
     violations: list[Violation] = []
     steps = chain.steps
     n = len(steps)

@@ -43,6 +43,8 @@ class AlertRecord(
             raise ValueError("alert_number must be nonempty")
         return super().__new__(cls, alert_number.strip(), product, tuple(risk_types), description)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make: both run __new__
+
 
 def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list[AlertRecord]:
     """Decode a JSON array of flat records into AlertRecords.

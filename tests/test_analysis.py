@@ -11,7 +11,6 @@ from keyfactors.analysis import (
     analyze,
     classify,
     competition_rank,
-    normalize_sums,
 )
 from keyfactors.emit import format_display
 from keyfactors.matrix import SumsTable
@@ -29,17 +28,17 @@ def sums_table(active, passive):
 
 
 def test_normalize_is_scaled_by_axis_maximum():
-    active_norm, passive_norm = normalize_sums(sums_table([22, 23, 0], [8, 24, 0]))
-    assert format_display(active_norm[0]) == "95.7"
-    assert active_norm[1] == 100.0
-    assert format_display(passive_norm[0]) == "33.3"
-    assert passive_norm[1] == 100.0
+    first, second, _ = analyze(sums_table([22, 23, 0], [8, 24, 0]))
+    assert format_display(first.active_norm) == "95.7"
+    assert second.active_norm == 100.0
+    assert format_display(first.passive_norm) == "33.3"
+    assert second.passive_norm == 100.0
 
 
 def test_normalize_zero_axis_is_all_zero():
-    active_norm, passive_norm = normalize_sums(sums_table([0, 0], [3, 1]))
-    assert active_norm == (0.0, 0.0)
-    assert passive_norm == (100.0, 100.0 / 3)
+    scores = analyze(sums_table([0, 0], [3, 1]))
+    assert [s.active_norm for s in scores] == [0.0, 0.0]
+    assert [s.passive_norm for s in scores] == [100.0, 100.0 / 3]
 
 
 def test_display_rounding_is_half_away_from_zero():

@@ -465,7 +465,7 @@ MODULE_PROBE = (
         ),
         (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["dsl", "rapex"]),
         (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["dsl", "emit", "matrix"]),
-        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["analysis", "dsl", "emit", "matrix"]),
+        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["dsl", "emit", "matrix"]),
         (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "dsl", "emit", "matrix"]),
     ],
     ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex", "dot", "matrix", "plot"],

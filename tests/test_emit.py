@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from corpus import chain_sets
-from keyfactors.analysis import AnalysisConfig, analyze, competition_rank
+from keyfactors.analysis import AnalysisConfig, analyze
 from keyfactors.emit import (
     export_dot,
     export_matrix_csv,
@@ -16,7 +16,7 @@ from keyfactors.emit import (
     x_pixel,
     y_pixel,
 )
-from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, sums
+from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, competition_rank, sums
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
 
 C = FactorCategory
@@ -26,10 +26,7 @@ ABH = FailureChain("a", "c", ((C.COMPONENT, "A"), (C.EFFECT, "B"), (C.HARM, "H")
 
 def matrix_csv_for(chain_set):
     m = build_matrix(chain_set)
-    table = sums(m)
-    return m, table, export_matrix_csv(
-        m, table, competition_rank(table.active), competition_rank(table.passive)
-    )
+    return m, sums(m), export_matrix_csv(m)
 
 
 def read_matrix_csv(text):
@@ -81,8 +78,11 @@ def test_matrix_csv_round_trips_counts_and_sums(chain_set):
         assert passive == list(table.passive)
 
 
-def reference_matrix_csv(matrix, table, active_ranks, passive_ranks):
+def reference_matrix_csv(matrix):
     """Oracle: every cell, empty or not, formatted by csv.writer."""
+    table = sums(matrix)
+    active_ranks = competition_rank(table.active)
+    passive_ranks = competition_rank(table.passive)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     labels = [factor.label for factor in matrix.factors]
@@ -127,9 +127,7 @@ def _factors(*names):
 @example(RelationshipMatrix(_factors(" only, \"one\"\n"), {(0, 0): 7}))
 @example(RelationshipMatrix(_factors("a", "b\r", "c"), {(0, 0): 1, (0, 2): 12, (2, 0): 3, (2, 2): 5}))
 def test_matrix_csv_is_byte_identical_to_the_per_cell_writer(m):
-    table = sums(m)
-    ranks = competition_rank(table.active), competition_rank(table.passive)
-    assert export_matrix_csv(m, table, *ranks) == reference_matrix_csv(m, table, *ranks)
+    assert export_matrix_csv(m) == reference_matrix_csv(m)
 
 
 def test_report_csv_contains_case_study_row():
@@ -245,10 +243,8 @@ def test_dot_escapes_quotes_in_names():
 @given(chain_sets())
 def test_all_emitters_are_deterministic(chain_set):
     m = build_matrix(chain_set)
-    table = sums(m)
-    ranks = competition_rank(table.active), competition_rank(table.passive)
     scores = analyze(chain_set)
-    assert export_matrix_csv(m, table, *ranks) == export_matrix_csv(m, table, *ranks)
+    assert export_matrix_csv(m) == export_matrix_csv(m)
     assert export_report_csv(scores) == export_report_csv(scores)
     assert export_dot(m) == export_dot(m)
     assert render_scatter_svg(scores, AnalysisConfig()) == render_scatter_svg(scores, AnalysisConfig())

@@ -15,6 +15,7 @@ def test_every_public_name_is_the_object_its_submodule_defines():
         value = getattr(keyfactors, name)
         assert value.__module__.startswith("keyfactors."), name
         assert getattr(sys.modules[value.__module__], name) is value, name
+        assert value.__module__ == f"keyfactors.{keyfactors._EXPORTS[name]}", name
 
 
 def test_dir_lists_every_public_name():

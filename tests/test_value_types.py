@@ -34,6 +34,7 @@ def _config(cfg):
     assert repr(cfg) == "AnalysisConfig(dominant_ratio=3, reactive_ratio=Decimal('0.1'), key_threshold=50.0)"
     assert repr(AnalysisConfig()) == "AnalysisConfig(dominant_ratio=2.0, reactive_ratio=0.5, key_threshold=75.0)"
     assert AnalysisConfig(2, 0.5, 75) == AnalysisConfig() == (2.0, 0.5, 75.0)
+    assert cfg._replace(key_threshold=60)._exact[2] == (60, 1)
 
 
 def _alert(record):
@@ -119,9 +120,13 @@ def test_value_type_contract(cls, kwargs, normalized, refused, length, check):
             setattr(value, name, field)
     if cls is not RelationshipMatrix:
         assert hash(cls(*kwargs.values())) == hash(value)
+    if cls is not ChainSet:
+        assert value._replace() == value
     for change in refused:
         with pytest.raises(ValueError):
             cls(**{**kwargs, **change})
+        with pytest.raises(ValueError):
+            value._replace(**change)
     if length is not None:
         assert len(value) == length
     if check is not None:
