@@ -237,15 +237,15 @@ def _write_scores(args: argparse.Namespace, render: Callable[[tuple[FactorScore,
     if args.from_sums and args.files:
         return _usage_error(args, "--from-sums cannot be combined with chain files", code=2)
     if args.from_sums:
-        data = _read_sums_csv(args.from_sums)
+        data, warnings = _read_sums_csv(args.from_sums)
         if data.total_active() != data.total_passive():
-            print(
+            warnings.append(
                 f"{args.from_sums}: warning: total active sum {data.total_active()} "
-                f"!= total passive sum {data.total_passive()}",
-                file=sys.stderr,
+                f"!= total passive sum {data.total_passive()}"
             )
-            if args.strict:
-                return 1
+        _write_lines(f"{warning}\n" for warning in warnings)
+        if args.strict and warnings:
+            return 1
     else:
         data = _load_chains(args)
         if data is None:
@@ -258,7 +258,8 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
     """Parse every input file into one combined chain set.
 
     Prints diagnostics as they are found; returns None when any error
-    (or, under --strict, any warning) occurred.
+    (or, under --strict, any warning) occurred. A file given twice, by
+    the same or another path, is read and counted twice, with a warning.
     """
     from keyfactors.dsl import Severity, parse_document
 
@@ -267,8 +268,17 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
         return None
     failed = False
     combined: list = []
+    first_paths: dict[tuple[int, int], str] = {}
     for path in args.files:
-        chain_set, diagnostics = parse_document(_read_text(path))
+        text = _read_text(path)
+        stat = os.stat(path)
+        identity = (stat.st_dev, stat.st_ino)
+        if identity in first_paths:
+            print(f"{path}: warning: same file as {first_paths[identity]}; its chains count again", file=sys.stderr)
+            failed |= args.strict
+        else:
+            first_paths[identity] = path
+        chain_set, diagnostics = parse_document(text)
         _write_lines(f"{path}:{d.line}:{d.column}: {d.severity.value}: {d.message}\n" for d in diagnostics)
         if any(d.severity is Severity.ERROR for d in diagnostics):
             failed = True
@@ -321,47 +331,68 @@ def _read_text(path: str) -> str:
         raise
 
 
-def _read_sums_csv(path: str) -> SumsTable:
-    """Load a published sums table (id, category, name, active_sum, passive_sum)."""
+def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
+    """Load a published sums table (id, category, name, active_sum, passive_sum).
+
+    Returns the table and its warnings: a row of empty cells, such as the
+    ``,,,,`` a spreadsheet writes below its data, is skipped with one.
+    """
     from keyfactors.matrix import SumsTable
 
-    reader = csv.DictReader(io.StringIO(_read_text(path)))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    header = next(filter(None, reader), [])
     missing = [c for c in SUMS_COLUMNS if c not in header]
     if missing:
         hint = ""
         if set(SUMS_COLUMNS) <= set(",".join(header).split(";")):
             hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
         raise _InputError(f"error: {path}: missing columns: {', '.join(missing)}{hint}")
+    warnings: list[str] = []
     factors: list[Factor] = []
     active: list[int] = []
     passive: list[int] = []
     seen_ids: set[int] = set()
     seen_identities: set[tuple[FactorCategory, str]] = set()
-    for row_number, row in enumerate(reader, start=2):
+    for cells in reader:
+        where = f"{path}: line {reader.line_num}"
+        if not any(map(str.strip, cells)):
+            if cells:
+                warnings.append(f"{where}: warning: empty row skipped")
+            continue
+        if len(cells) != len(header):
+            raise _InputError(f"error: {where}: {len(cells)} cells, but the header has {len(header)}")
+        row = dict(zip(header, cells))
+        factor_id, active_sum, passive_sum = (
+            _whole_number(where, column, row[column]) for column in ("id", "active_sum", "passive_sum")
+        )
+        if factor_id == 0:
+            raise _InputError(f"error: {where}: id must be positive")
         try:
-            factor_id = int(row["id"])
-            active_sum = int(row["active_sum"])
-            passive_sum = int(row["passive_sum"])
-            if factor_id <= 0 or active_sum < 0 or passive_sum < 0:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise _InputError(f"error: {path}: line {row_number}: id must be positive, sums non-negative") from None
-        try:
-            category = FactorCategory.parse(row["category"] or "")
-            key = normalize_name(row["name"] or "")
+            category = FactorCategory.parse(row["category"])
+            key = normalize_name(row["name"])
         except ValueError as exc:
-            raise _InputError(f"error: {path}: line {row_number}: {exc}") from None
+            raise _InputError(f"error: {where}: {exc}") from None
         if factor_id in seen_ids:
-            raise _InputError(f"error: {path}: line {row_number}: duplicate id {factor_id}")
+            raise _InputError(f"error: {where}: duplicate id {factor_id}")
         if (category, key) in seen_identities:
-            raise _InputError(f"error: {path}: line {row_number}: duplicate factor {row['name']!r}")
+            raise _InputError(f"error: {where}: duplicate factor {row['name']!r}")
         seen_ids.add(factor_id)
         seen_identities.add((category, key))
         factors.append(Factor(category, row["name"].strip(), key, factor_id))
         active.append(active_sum)
         passive.append(passive_sum)
-    return SumsTable(tuple(factors), tuple(active), tuple(passive))
+    return SumsTable(tuple(factors), tuple(active), tuple(passive)), warnings
+
+
+def _whole_number(where: str, column: str, text: str) -> int:
+    """A cell in ASCII digits, blanks around it stripped; int() alone would take 1_2 or other scripts' digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise _InputError(f"error: {where}: {column} {text!r} is not a whole number")
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise _InputError(f"error: {where}: {column} has {len(text)} digits, too many to read") from None
 
 
 def _write_output(text: str, output: str | None) -> None:

@@ -31,8 +31,8 @@ is classified once per process, from its own text, into what it holds: a
 step (category, name), an ``alert:`` or ``case:`` header, a separator, a
 comment or blank line, or a syntax error at its column. The table of line
 kinds is shared by every document and starts over when full. One pattern
-reads headers and well-formed step lines; the character scanner runs only
-on a step line the pattern rejects, to place the error. The blocks between
+reads headers and well-formed step lines; on a step line it rejects, the
+fault is placed where the same name pattern stops. The blocks between
 separators are then walked over those kinds, which adds each line's
 number. A block with both headers and no error whose chain
 step_identities accepts is kept; any other block is reported from the
@@ -91,7 +91,6 @@ _Kind = Union[Step, _Header, _LineError, str, None]
 
 _SEPARATOR = "---"
 _STEP_KEYWORDS = {category.value: category for category in FactorCategory}
-_KEYWORD_RE = re.compile(r"[A-Za-z_]+")
 # A quoted name's body: no quote, backslash or control character but tab,
 # except in the escapes of _UNESCAPES.
 _NAME_CHAR = r'[^"\\\x00-\x08\n-\x1f\x7f-\x9f]'
@@ -99,6 +98,10 @@ _NAME = rf'{_NAME_CHAR}*(?:\\[\\"nrt]{_NAME_CHAR}*)*'
 # A header, or a well-formed step line (keyword, optional blanks, one
 # quoted name), with the line's leading and trailing blanks.
 _LINE_RE = re.compile(rf'\s*(?:((?i:alert|case)):(.*)|([A-Za-z_]+)\s*"({_NAME})"\s*)')
+# A keyword, then as much of a quoted name as is well formed: on a stripped
+# line _LINE_RE rejects, the fault is where this stops. re compiles it on
+# the first rejected line and caches it.
+_STEP_PREFIX = rf'([A-Za-z_]+)\s*("{_NAME})?'
 _ESCAPE_RE = re.compile(r'\\([\\"nrt])')
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -145,17 +148,31 @@ def _classify(line: str) -> _Kind:
     if stripped == _SEPARATOR:
         return _SEPARATOR
     column = _column(line)
-    keyword = _KEYWORD_RE.match(stripped)
-    if keyword is None:
+    prefix = re.match(_STEP_PREFIX, stripped)
+    if prefix is None:
         return _LineError(column, f"expected a header or step line, got {stripped[:30]!r}")
-    word = keyword[0].casefold()
-    category = _STEP_KEYWORDS.get(word)
-    if category is None:
+    keyword, quoted = prefix.groups()
+    word = keyword.casefold()
+    if word not in _STEP_KEYWORDS:
         if word in ("alert", "case"):
             return _LineError(column, f"header must be written '{word}: <text>'")
-        return _LineError(column, f"unknown category '{keyword[0]}'")
-    # _LINE_RE reads every well-formed name, so the scanner finds the error.
-    return _parse_quoted_name(stripped[keyword.end() :], column + keyword.end())[1]
+        return _LineError(column, f"unknown category '{keyword}'")
+    end = prefix.end()
+    if quoted is None:
+        return _LineError(column + end, "expected a quoted name after the category keyword")
+    # _LINE_RE reads every well-formed step, so the name stops at its fault.
+    fault = stripped[end : end + 2]
+    if fault in ("", "\\"):
+        return _LineError(column + prefix.start(2), "unterminated quoted name")
+    if fault[0] == "\\":
+        return _LineError(column + end, f"invalid escape '{fault}' in quoted name")
+    if fault[0] == '"':
+        trailing = stripped[end + 1 :].lstrip()
+        return _LineError(
+            column + len(stripped) - len(trailing),
+            f"unexpected text after the quoted name: {trailing[:20]!r}",
+        )
+    return _LineError(column + end, f"control character U+{ord(fault[0]):04X} in quoted name")
 
 
 # What each distinct line holds, by the line's text, shared by every document.
@@ -229,46 +246,6 @@ def _column(line: str) -> int:
 
 def _unescape(match: re.Match[str]) -> str:
     return _UNESCAPES[match[1]]
-
-
-def _parse_quoted_name(rest: str, column: int) -> tuple[str, None] | tuple[None, _LineError]:
-    offset = len(rest) - len(rest.lstrip())
-    column += offset
-    rest = rest.lstrip()
-    if not rest.startswith('"'):
-        return None, _LineError(column, "expected a quoted name after the category keyword")
-    chars: list[str] = []
-    i = 1
-    while i < len(rest):
-        ch = rest[i]
-        if ch == "\\":
-            if i + 1 >= len(rest):
-                break
-            replacement = _UNESCAPES.get(rest[i + 1])
-            if replacement is None:
-                return None, _LineError(
-                    column + i,
-                    f"invalid escape '\\{rest[i + 1]}' in quoted name",
-                )
-            chars.append(replacement)
-            i += 2
-            continue
-        if ch == '"':
-            trailing = rest[i + 1 :]
-            if trailing.strip():
-                return None, _LineError(
-                    column + i + 1 + (len(trailing) - len(trailing.lstrip())),
-                    f"unexpected text after the quoted name: {trailing.strip()[:20]!r}",
-                )
-            return "".join(chars), None
-        if (ch < " " and ch != "\t") or "\x7f" <= ch <= "\x9f":
-            return None, _LineError(
-                column + i,
-                f"control character U+{ord(ch):04X} in quoted name",
-            )
-        chars.append(ch)
-        i += 1
-    return None, _LineError(column, "unterminated quoted name")
 
 
 def _escape_name(name: str) -> str:

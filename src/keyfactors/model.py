@@ -265,8 +265,6 @@ def validate_chain(chain: FailureChain) -> list[Violation]:
                 f"final step must be a harm, got category '{steps[-1][0].value}'",
             )
         )
-
-    violations.sort(key=lambda v: v.step)
     return violations
 
 

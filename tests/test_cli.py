@@ -441,6 +441,25 @@ def test_case_study_script_writes_every_documented_output(tmp_path):
     assert list((out / "skeletons").glob("*.chains"))
 
 
+def test_output_digests_script_prints_the_same_lines_twice():
+    script = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), str(DATA)]
+    runs = [subprocess.Popen(script, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    (first, first_err), (second, second_err) = (run.communicate(timeout=300) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], first_err + second_err
+    assert first == second
+    lines = [line.split(" ") for line in first.splitlines()]
+    assert all(len(fields) == 3 and len(fields[2]) == 64 for fields in lines)
+    commands = {label.split("[")[0] for label, _, _ in lines}
+    assert commands == {"validate", "analyze", "matrix", "dot", "plot", "from-sums", "import-rapex"}
+    # Every chain command on all files together and on each alone, each output file and skeleton.
+    assert ["plot[*.chains]", "out"] in [fields[:2] for fields in lines]
+    assert {label for label, _, _ in lines if label.startswith("dot[chains/")} == {
+        f"dot[chains/{name}]" for name in ("burn.chains", "shock.chains", "poisoning.chains")
+    }
+    skeletons = [stream for label, stream, _ in lines if label == "import-rapex[alerts_sample.json]"][3:]
+    assert skeletons and all(stream.startswith("skeletons/") for stream in skeletons)
+
+
 # Prints the keyfactors modules loaded after running the CLI on its arguments,
 # then which of the stdlib modules the probe watches were loaded.
 MODULE_PROBE = (
@@ -486,35 +505,49 @@ SUMS_TABLE = "id,category,name,active_sum,passive_sum\n1,component,Gerät,2,0\n2
 # (argv with {path} for the input and {tmp} for the test directory, input file
 # name, input bytes, first stderr line). The table is the catalogue of input
 # that spreadsheets and Windows editors write.
+CHAIN_DOC = 'alert: a\ncase: c\ncomponent "plug"\nharm "burn"\n'
+
+
+def sums_row(cells):
+    """SUMS_TABLE with its first data row replaced by the given cells."""
+    header, _, rest = SUMS_TABLE.split("\n", 2)
+    return f"{header}\n{cells}\n{rest}".encode("utf-8")
+
+
 BAD_INPUTS = [
     (
         ["analyze", "{path}", "-o", "{tmp}/out.csv"],
         "cp1252.chains",
         'alert: a\ncase: c\ncomponent "Gerät"\nharm "burn"\n'.encode("cp1252"),
+        2,
         "{path}:3:15: error: not UTF-8 (byte 0xE4)",
     ),
     (
         ["validate", "{path}"],
         "crlf.chains",
         'alert: a\r\ncase: c\r\n\r\n  action "Öffnen"\r\nharm "burn"\r\n'.encode("cp1252"),
+        2,
         "{path}:4:11: error: not UTF-8 (byte 0xD6)",
     ),
     (
         ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
         "cp1252.csv",
         "\ufeff".encode("utf-8") + SUMS_TABLE.encode("cp1252"),
+        2,
         "{path}:2:16: error: not UTF-8 (byte 0xE4)",
     ),
     (
         ["plot", "--from-sums", "{path}", "-o", "{tmp}/out.svg"],
         "utf16.csv",
         SUMS_TABLE.encode("utf-16"),
+        2,
         "{path}:1:1: error: not UTF-8 (byte 0xFF)",
     ),
     (
         ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
         "semicolon.csv",
         SUMS_TABLE.replace(",", ";").encode("utf-8"),
+        2,
         "error: {path}: missing columns: id, category, name, active_sum, passive_sum "
         "(the file looks semicolon-delimited; sums tables must be comma-separated)",
     ),
@@ -522,17 +555,101 @@ BAD_INPUTS = [
         ["import-rapex", "{path}", "-d", "{tmp}/skeletons"],
         "alerts.json",
         '[{"alertNumber": "A1", "risk": "Verbrühung"}]'.encode("latin-1"),
+        2,
         "{path}:1:38: error: not UTF-8 (byte 0xFC)",
+    ),
+    # int() would read these three as 12.
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "underscore.csv",
+        sums_row("1,component,Gerät, 1_2 ,0"),
+        2,
+        "error: {path}: line 2: active_sum '1_2' is not a whole number",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "arabic-indic.csv",
+        sums_row("1,component,Gerät,\u0661\u0662,0"),
+        2,
+        "error: {path}: line 2: active_sum '\u0661\u0662' is not a whole number",
+    ),
+    (
+        ["plot", "--from-sums", "{path}", "-o", "{tmp}/out.svg"],
+        "plus-sign.csv",
+        sums_row("1,component,Gerät,2,+0"),
+        2,
+        "error: {path}: line 2: passive_sum '+0' is not a whole number",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "decimal.csv",
+        sums_row("1,component,Gerät,12.0,0"),
+        2,
+        "error: {path}: line 2: active_sum '12.0' is not a whole number",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "negative.csv",
+        sums_row("-1,component,Gerät,2,0"),
+        2,
+        "error: {path}: line 2: id '-1' is not a whole number",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "id-zero.csv",
+        sums_row("0,component,Gerät,2,0"),
+        2,
+        "error: {path}: line 2: id must be positive",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "too-many-digits.csv",
+        sums_row("1,component,Gerät," + "9" * 5000 + ",0"),
+        2,
+        "error: {path}: line 2: active_sum has 5000 digits, too many to read",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "sixth-cell.csv",
+        sums_row("1,component,Gerät,2,0,note"),
+        2,
+        "error: {path}: line 2: 6 cells, but the header has 5",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "fourth-cell.csv",
+        sums_row("1,component,Gerät,2"),
+        2,
+        "error: {path}: line 2: 4 cells, but the header has 5",
+    ),
+    # A spreadsheet's trailing empty rows are skipped with a warning, which --strict refuses.
+    (
+        ["analyze", "--strict", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "empty-rows.csv",
+        (SUMS_TABLE + "\n,,,,\n , ,,,\n").encode("utf-8"),
+        1,
+        "{path}: line 5: warning: empty row skipped",
+    ),
+    (
+        ["analyze", "--strict", "{path}", "{path}", "-o", "{tmp}/out.csv"],
+        "twice.chains",
+        CHAIN_DOC.encode("utf-8"),
+        1,
+        "{path}: warning: same file as {path}; its chains count again",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    ("argv", "name", "data", "first_line"),
+    ("argv", "name", "data", "code", "first_line"),
     BAD_INPUTS,
-    ids=["cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "latin1-alerts"],
+    ids=[
+        "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "latin1-alerts",
+        "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "negative-id", "zero-id",
+        "too-many-digits", "sixth-cell", "fourth-cell", "empty-rows-strict", "same-file-twice-strict",
+    ],
 )
-def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, first_line):
+def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, code, first_line):
     path = tmp_path / name
     path.write_bytes(data)
     argv = [arg.format(path=path, tmp=tmp_path) for arg in argv]
@@ -540,10 +657,38 @@ def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, first
     result = subprocess.run(
         [sys.executable, "-m", "keyfactors.cli", *argv], env=env, capture_output=True, text=True
     )
-    assert (result.returncode, result.stderr.splitlines()[0]) == (2, first_line.format(path=path))
+    assert (result.returncode, result.stderr.splitlines()[0]) == (code, first_line.format(path=path))
     assert result.stdout == ""
     # No output file, temp file or output directory is left behind.
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_empty_sums_rows_are_skipped_with_a_warning(tmp_path, capsys):
+    plain = write(tmp_path, "plain.csv", SUMS_TABLE)
+    padded = write(tmp_path, "padded.csv", "\n" + SUMS_TABLE.replace("\n1,", "\n\n,,,,\n1,") + ",,,,\n")
+    assert main(["analyze", "--from-sums", plain, "-o", str(tmp_path / "plain.out")]) == 0
+    assert main(["analyze", "--from-sums", padded, "-o", str(tmp_path / "padded.out")]) == 0
+    # Blank lines are skipped quietly, as the csv module reads them; the lines are counted in the file.
+    assert capsys.readouterr().err == (
+        f"{padded}: line 4: warning: empty row skipped\n{padded}: line 7: warning: empty row skipped\n"
+    )
+    assert (tmp_path / "padded.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+
+
+def test_a_chain_file_given_twice_counts_twice_with_a_warning(tmp_path, capsys):
+    path = write(tmp_path, "a.chains", CHAIN_DOC)
+    link = tmp_path / "b.chains"
+    os.link(path, link)
+    other = write(tmp_path, "c.chains", CHAIN_DOC)
+    for twice in (path, str(link)):
+        assert main(["matrix", path, twice, "-o", str(tmp_path / "twice.csv")]) == 0
+        assert capsys.readouterr().err == f"{twice}: warning: same file as {path}; its chains count again\n"
+        # Repetition weighting: the repeated file counts as a copy of it would.
+        assert main(["matrix", path, other, "-o", str(tmp_path / "copy.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "twice.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+        assert main(["validate", "--strict", path, twice]) == 1
+        assert "warning: same file" in capsys.readouterr().err
 
 
 def test_closed_stdout_ends_quietly_with_exit_two(tmp_path):

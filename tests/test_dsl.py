@@ -9,14 +9,12 @@ import pytest
 from corpus import chain_sets, failure_chains, mutate_text, random_chain_set
 from keyfactors import dsl
 from keyfactors.dsl import (
-    _KEYWORD_RE,
     _STEP_KEYWORDS,
     Diagnostic,
     Severity,
     _LineError,
     _classify,
     _escape_name,
-    _parse_quoted_name,
     parse_document,
     serialize_document,
 )
@@ -217,26 +215,80 @@ def test_diagnostics_are_deterministic():
     assert first == second
 
 
+# Oracle for the reader's name pattern, independent of it: a scanner that
+# reads a quoted name one character at a time and stops at its first fault.
+_KEYWORD_RE = re.compile(r"[A-Za-z_]+")
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def _parse_quoted_name(rest: str, column: int) -> tuple[str, None] | tuple[None, _LineError]:
+    offset = len(rest) - len(rest.lstrip())
+    column += offset
+    rest = rest.lstrip()
+    if not rest.startswith('"'):
+        return None, _LineError(column, "expected a quoted name after the category keyword")
+    chars: list[str] = []
+    i = 1
+    while i < len(rest):
+        ch = rest[i]
+        if ch == "\\":
+            if i + 1 >= len(rest):
+                break
+            replacement = _UNESCAPES.get(rest[i + 1])
+            if replacement is None:
+                return None, _LineError(
+                    column + i,
+                    f"invalid escape '\\{rest[i + 1]}' in quoted name",
+                )
+            chars.append(replacement)
+            i += 2
+            continue
+        if ch == '"':
+            trailing = rest[i + 1 :]
+            if trailing.strip():
+                return None, _LineError(
+                    column + i + 1 + (len(trailing) - len(trailing.lstrip())),
+                    f"unexpected text after the quoted name: {trailing.strip()[:20]!r}",
+                )
+            return "".join(chars), None
+        if (ch < " " and ch != "\t") or "\x7f" <= ch <= "\x9f":
+            return None, _LineError(
+                column + i,
+                f"control character U+{ord(ch):04X} in quoted name",
+            )
+        chars.append(ch)
+        i += 1
+    return None, _LineError(column, "unterminated quoted name")
+
+
 # Names over quotes, backslashes, the letters of the escapes, blanks and non-ASCII text.
 FAST_PATH_ALPHABET = '"\\nrtx \t\u00a0äß€漢'
+# Characters str.strip removes besides space, tab and no-break space: controls
+# a name cannot hold, and the line separator U+2028, which it can.
+STRIPPED_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028"
+BLANKS = " \t\u00a0" + STRIPPED_CHARS
 
 
 @given(
+    st.text(alphabet=BLANKS, max_size=2),
     st.sampled_from([c.value for c in C] + ["HARM", "Effect", "gizmo", "case"]),
-    st.text(alphabet=" \t\u00a0", max_size=2),
-    st.text(alphabet=FAST_PATH_ALPHABET, max_size=16),
-    st.sampled_from(['"', "", '" x', '"x"', '\\"', ' "\t']),
-    st.text(alphabet=FAST_PATH_ALPHABET, min_size=1, max_size=16).filter(lambda t: t.strip()),
+    st.text(alphabet=BLANKS, max_size=2),
+    st.sampled_from(['"', ""]),
+    st.text(alphabet=FAST_PATH_ALPHABET + STRIPPED_CHARS, max_size=16),
+    st.sampled_from(['"', "", '" x', '"x"', '\\"', ' "\t', " ", "\x0b", " x"]),
+    st.text(alphabet=FAST_PATH_ALPHABET + "\u2028", min_size=1, max_size=16).filter(lambda t: t.strip()),
 )
-def test_line_classifier_agrees_with_the_scanner(keyword, gap, body, ending, name):
-    # Any line after a known keyword: the classifier reads a step exactly when
-    # the scanner does, with the scanner's name, and otherwise gives its error.
-    line = f'{keyword}{gap}"{body}{ending}'
+def test_line_classifier_agrees_with_the_scanner(indent, keyword, gap, quote, body, ending, name):
+    # Any line that starts with a keyword, with or without an opening quote:
+    # the classifier reads a step exactly when the scanner does, with the
+    # scanner's name, and otherwise gives its error at its column.
+    line = f"{indent}{keyword}{gap}{quote}{body}{ending}"
     stripped = line.strip()
-    end = _KEYWORD_RE.match(stripped).end()
-    scanned_name, scanned_error = _parse_quoted_name(stripped[end:], 1 + end)
+    column = len(line) - len(line.lstrip()) + 1
+    word = _KEYWORD_RE.match(stripped)
+    scanned_name, scanned_error = _parse_quoted_name(stripped[word.end() :], column + word.end())
     kind = _classify(line)
-    category = _STEP_KEYWORDS.get(keyword.casefold())
+    category = _STEP_KEYWORDS.get(word[0].casefold())
     if category is None:
         assert type(kind) is _LineError
     elif scanned_error is None:
@@ -245,7 +297,7 @@ def test_line_classifier_agrees_with_the_scanner(keyword, gap, body, ending, nam
         assert kind == scanned_error
     # A line as the serializer writes it is always read as its step.
     if keyword.casefold() in _STEP_KEYWORDS:
-        written = f'{keyword}{gap}"{_escape_name(name)}"'
+        written = f'{indent}{keyword}{gap}"{_escape_name(name)}"'
         assert _classify(written) == (_STEP_KEYWORDS[keyword.casefold()], name)
 
 
