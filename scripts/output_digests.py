@@ -10,7 +10,8 @@ with the ``src/`` beside this script first on its import path:
 
 - ``validate``, ``analyze``, ``matrix``, ``dot`` and ``plot`` on all
   ``*.chains`` files under DIR together, then on each file alone;
-- ``analyze --from-sums`` on each sums ``*.csv`` file under DIR;
+- ``analyze --from-sums`` and ``plot --from-sums`` on each sums ``*.csv``
+  file under DIR;
 - ``import-rapex`` on each alerts ``*alerts*.json`` file under DIR.
 
 For every run it prints one ``command stream sha256`` line each for
@@ -83,6 +84,7 @@ def digests(inputs: Path) -> list[str]:
                 lines += run(work, f"{command}[{label}]", [command, *(f"in/{name}" for name in names)], output)
         for name in found("*.csv"):
             lines += run(work, f"from-sums[{name}]", ["analyze", "--from-sums", f"in/{name}"], "out")
+            lines += run(work, f"plot-from-sums[{name}]", ["plot", "--from-sums", f"in/{name}"], "out")
         for name in found("*alerts*.json"):
             lines += run(work, f"import-rapex[{name}]", ["import-rapex", f"in/{name}"], "skeletons")
         return lines

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 validation/content error, 2 IO/format error. A
 standard output closed early (``keyfactors matrix ... | head``) ends the
 run quietly with exit 2. Without -o, output goes to standard output;
 file writes are atomic (temp file plus rename), so rerunning with
-unchanged inputs rewrites identical bytes.
+unchanged inputs rewrites identical bytes. A rewritten file keeps its
+permission bits; a new one gets 0666 less the umask at that write.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
 never load the matrix, analysis or emit layers, and `matrix` and `dot`
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import itertools
+import operator
 import os
 import sys
 import tempfile
@@ -141,9 +142,10 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dominant-ratio", type=_number, default=2.0, metavar="R")
-    parser.add_argument("--reactive-ratio", type=_number, default=0.5, metavar="R")
-    parser.add_argument("--key-threshold", type=_number, default=75.0, metavar="T")
+    # No defaults here: an option left out takes AnalysisConfig's.
+    parser.add_argument("--dominant-ratio", type=_number, metavar="R")
+    parser.add_argument("--reactive-ratio", type=_number, metavar="R")
+    parser.add_argument("--key-threshold", type=_number, metavar="T")
 
 
 def _number(text: str) -> Decimal:
@@ -231,7 +233,9 @@ def _write_scores(args: argparse.Namespace, render: Callable[[tuple[FactorScore,
     from keyfactors.analysis import AnalysisConfig, analyze
 
     try:
-        cfg = AnalysisConfig(args.dominant_ratio, args.reactive_ratio, args.key_threshold)
+        cfg = AnalysisConfig(
+            **{name: value for name in AnalysisConfig._fields if (value := getattr(args, name)) is not None}
+        )
     except ValueError as exc:
         raise _InputError(f"error: {exc}") from None
     if args.from_sums and args.files:
@@ -335,7 +339,8 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
     """Load a published sums table (id, category, name, active_sum, passive_sum).
 
     Returns the table and its warnings: a row of empty cells, such as the
-    ``,,,,`` a spreadsheet writes below its data, is skipped with one.
+    ``,,,,`` a spreadsheet writes below its data, is skipped with one. A
+    header that names one of the five columns twice is refused.
     """
     from keyfactors.matrix import SumsTable
 
@@ -347,6 +352,10 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
         if set(SUMS_COLUMNS) <= set(",".join(header).split(";")):
             hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
         raise _InputError(f"error: {path}: missing columns: {', '.join(missing)}{hint}")
+    for column in SUMS_COLUMNS:
+        if header.count(column) > 1:
+            raise _InputError(f"error: {path}: line {reader.line_num}: column {column!r} appears twice")
+    pick = operator.itemgetter(*map(header.index, SUMS_COLUMNS))
     warnings: list[str] = []
     factors: list[Factor] = []
     active: list[int] = []
@@ -361,24 +370,25 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
             continue
         if len(cells) != len(header):
             raise _InputError(f"error: {where}: {len(cells)} cells, but the header has {len(header)}")
-        row = dict(zip(header, cells))
+        id_text, category_text, name, active_text, passive_text = pick(cells)
         factor_id, active_sum, passive_sum = (
-            _whole_number(where, column, row[column]) for column in ("id", "active_sum", "passive_sum")
+            _whole_number(where, column, text)
+            for column, text in (("id", id_text), ("active_sum", active_text), ("passive_sum", passive_text))
         )
         if factor_id == 0:
             raise _InputError(f"error: {where}: id must be positive")
         try:
-            category = FactorCategory.parse(row["category"])
-            key = normalize_name(row["name"])
+            category = FactorCategory.parse(category_text)
+            key = normalize_name(name)
         except ValueError as exc:
             raise _InputError(f"error: {where}: {exc}") from None
         if factor_id in seen_ids:
             raise _InputError(f"error: {where}: duplicate id {factor_id}")
         if (category, key) in seen_identities:
-            raise _InputError(f"error: {where}: duplicate factor {row['name']!r}")
+            raise _InputError(f"error: {where}: duplicate factor {name!r}")
         seen_ids.add(factor_id)
         seen_identities.add((category, key))
-        factors.append(Factor(category, row["name"].strip(), key, factor_id))
+        factors.append(Factor(category, name.strip(), key, factor_id))
         active.append(active_sum)
         passive.append(passive_sum)
     return SumsTable(tuple(factors), tuple(active), tuple(passive)), warnings
@@ -407,12 +417,14 @@ def _write_text(handle: TextIO, text: str) -> None:
         handle.write(text[start : start + _CHARS_PER_WRITE])
 
 
-@functools.cache
-def _new_file_mode() -> int:
-    """Mode a plain open() would give a new file; the umask is read once per process."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
+def _file_mode(path: Path) -> int:
+    """The permission bits open(path, "w") would leave: the replaced file's, else 0o666 less the umask."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -420,7 +432,7 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             # mkstemp creates the file as 0600; give it the mode open() would have.
-            os.fchmod(handle.fileno(), _new_file_mode())
+            os.fchmod(handle.fileno(), _file_mode(path))
             _write_text(handle, text)
         os.replace(tmp_name, path)
     except BaseException:

@@ -24,7 +24,8 @@ CR per line is tolerated on input).
 Parsing is total: any input yields a (possibly empty) chain set plus a
 deterministic list of diagnostics. A chain with a syntax error or a
 broken chain invariant is excluded and reported with one error
-diagnostic per problem; warnings never exclude anything.
+diagnostic per problem; warnings never exclude anything. An ``alert:``
+or ``case:`` header with no text gets a warning at its position.
 
 A document is read in one pass. It is split at LF, and each distinct line
 is classified once per process, from its own text, into what it holds: a
@@ -35,8 +36,9 @@ reads headers and well-formed step lines; on a step line it rejects, the
 fault is placed where the same name pattern stops. The blocks between
 separators are then walked over those kinds, which adds each line's
 number. A block with both headers and no error whose chain
-step_identities accepts is kept; any other block is reported from the
-same kinds, its broken invariants placed on their steps' lines.
+step_identities accepts is kept, with its warnings; any other block is
+reported from the same kinds, its broken invariants placed on their
+steps' lines after its line diagnostics.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def _read_block(
     lines: list[str], kinds: list[_Kind], start: int, end: int, separated: bool
 ) -> tuple[FailureChain | None, list[Diagnostic]]:
     """Read the block on kinds[start:end], which is lines start + 1 to end."""
-    errors: list[Diagnostic] = []
+    found: list[Diagnostic] = []  # the lines' diagnostics in line order, then missing headers
     headers: dict[str, str] = {}
     steps: list[Step] = []
     for lineno, kind in enumerate(kinds[start:end], start + 1):
@@ -198,11 +200,14 @@ def _read_block(
                 message = f"duplicate header '{kind.key}:'"
             else:
                 headers[kind.key] = kind.text
+                if not kind.text:
+                    message = f"'{kind.key}:' header has no text"
+                    found.append(Diagnostic(Severity.WARNING, lineno, kind.column, message))
                 continue
-            errors.append(Diagnostic(Severity.ERROR, lineno, kind.column, message))
+            found.append(Diagnostic(Severity.ERROR, lineno, kind.column, message))
         else:
-            errors.append(Diagnostic(Severity.ERROR, lineno, *kind))
-    if not (steps or headers or errors):
+            found.append(Diagnostic(Severity.ERROR, lineno, *kind))
+    if not (steps or headers or found):
         if not separated:
             return None, []
         return None, [Diagnostic(Severity.WARNING, min(start + 1, len(kinds)), 1, "empty chain block")]
@@ -211,16 +216,14 @@ def _read_block(
         first_line += 1
     for key in ("alert", "case"):
         if key not in headers:
-            errors.append(
-                Diagnostic(Severity.ERROR, first_line, 1, f"missing required header '{key}:'")
-            )
-    if errors:
-        return None, errors
+            found.append(Diagnostic(Severity.ERROR, first_line, 1, f"missing required header '{key}:'"))
+    if any(d.severity is Severity.ERROR for d in found):
+        return None, found
     chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
     if step_identities(chain) is not None:
-        return chain, []
+        return chain, found
     step_lines = [(i + 1, lines[i]) for i in range(start, end) if type(kinds[i]) is tuple]
-    return None, _violation_diagnostics(chain, step_lines, first_line)
+    return None, found + _violation_diagnostics(chain, step_lines, first_line)
 
 
 def _violation_diagnostics(
@@ -257,15 +260,18 @@ def serialize_document(chains: ChainSet) -> str:
 
     Round-trips exactly: parse_document(serialize_document(cs)) yields
     cs with no diagnostics. Refuses invalid chains with their violation
-    list; header texts cannot span lines in a line-oriented format, and
-    a name cannot hold a control character other than tab, LF or CR,
-    the three that have escapes.
+    list; a header text cannot be empty, which the reader warns about,
+    nor span lines in a line-oriented format, and a name cannot hold a
+    control character other than tab, LF or CR, the three that have
+    escapes.
     """
     parts: list[str] = []
     for index, chain in enumerate(chains):
         if step_identities(chain) is None:
             raise ChainValidationError([(index, validate_chain(chain))])
         for field_name, value in (("alert", chain.source_alert), ("case", chain.case_label)):
+            if not value:
+                raise ValueError(f"chain {index}: {field_name} header has no text")
             if "\n" in value or "\r" in value:
                 raise ValueError(f"chain {index}: {field_name} text cannot span lines")
         for number, (_, name) in enumerate(chain.steps, start=1):

@@ -123,12 +123,14 @@ def export_report_csv(scores: Sequence[FactorScore]) -> str:
     return buffer.getvalue()
 
 
-# Keyed by Region value, so that this module needs no analysis import at run time.
-_MARKER_STYLE = {
-    "dominant": ("triangle", "#d62728"),
-    "dynamic": ("circle", "#1f77b4"),
-    "reactive": ("square", "#2ca02c"),
-    "isolated": ("diamond", "#7f7f7f"),
+# One marker element per Region value (keyed by value, so that this module
+# needs no analysis import at run time), filled from the centre x y, the box
+# edges l r t b, the half-size s and the width d.
+_MARKERS = {
+    "dominant": '<polygon points="{x:.2f},{t:.2f} {l:.2f},{b:.2f} {r:.2f},{b:.2f}" fill="#d62728"/>',
+    "dynamic": '<circle cx="{x:.2f}" cy="{y:.2f}" r="{s:.2f}" fill="#1f77b4"/>',
+    "reactive": '<rect x="{l:.2f}" y="{t:.2f}" width="{d:.2f}" height="{d:.2f}" fill="#2ca02c"/>',
+    "isolated": '<polygon points="{x:.2f},{t:.2f} {r:.2f},{y:.2f} {x:.2f},{b:.2f} {l:.2f},{y:.2f}" fill="#7f7f7f"/>',
 }
 
 
@@ -136,16 +138,15 @@ def render_scatter_svg(scores: Sequence[FactorScore], cfg: AnalysisConfig) -> st
     """Active-passive scatter: passive on x, active on y, both 0-100.
 
     Draws the two region boundary rays implied by the configured ratios,
-    then one marker per factor (shape and fill keyed by region, labeled
-    with the factor id) in ascending id order.
+    then one marker per factor (the element of its region in _MARKERS,
+    labeled with the factor id) in ascending id order.
     """
+    left, right, top, bottom = x_pixel(0), x_pixel(100), y_pixel(100), y_pixel(0)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS}" '
         f'height="{_CANVAS}" viewBox="0 0 {_CANVAS} {_CANVAS}">',
-        f'<rect x="{_fmt(x_pixel(0))}" y="{_fmt(y_pixel(100))}" '
-        f'width="{_fmt(x_pixel(100) - x_pixel(0))}" '
-        f'height="{_fmt(y_pixel(0) - y_pixel(100))}" '
+        f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" height="{bottom - top:.2f}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
 
@@ -153,83 +154,46 @@ def render_scatter_svg(scores: Sequence[FactorScore], cfg: AnalysisConfig) -> st
     for value in range(0, 101, 10):
         x = x_pixel(value)
         y = y_pixel(value)
-        x0, y0 = x_pixel(0), y_pixel(0)
-        parts.append(
-            f'<line class="tick" x1="{_fmt(x)}" y1="{_fmt(y0)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(y0 + tick_len)}" stroke="#333333" stroke-width="1"/>'
+        parts += (
+            f'<line class="tick" x1="{x:.2f}" y1="{bottom:.2f}" '
+            f'x2="{x:.2f}" y2="{bottom + tick_len:.2f}" stroke="#333333" stroke-width="1"/>',
+            f'<text x="{x:.2f}" y="{bottom + tick_len + _FONT_SIZE + 2:.2f}" '
+            f'font-size="{_FONT_SIZE}" text-anchor="middle">{value}</text>',
+            f'<line class="tick" x1="{left - tick_len:.2f}" y1="{y:.2f}" '
+            f'x2="{left:.2f}" y2="{y:.2f}" stroke="#333333" stroke-width="1"/>',
+            f'<text x="{left - tick_len - 3:.2f}" y="{y + _FONT_SIZE / 3:.2f}" '
+            f'font-size="{_FONT_SIZE}" text-anchor="end">{value}</text>',
         )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y0 + tick_len + _FONT_SIZE + 2)}" '
-            f'font-size="{_FONT_SIZE}" text-anchor="middle">{value}</text>'
-        )
-        parts.append(
-            f'<line class="tick" x1="{_fmt(x0 - tick_len)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(x0)}" y2="{_fmt(y)}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - tick_len - 3)}" y="{_fmt(y + _FONT_SIZE / 3)}" '
-            f'font-size="{_FONT_SIZE}" text-anchor="end">{value}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt((x_pixel(0) + x_pixel(100)) / 2)}" '
-        f'y="{_fmt(_CANVAS - 8)}" font-size="{_FONT_SIZE + 2}" '
-        'text-anchor="middle">passive sum (normalized)</text>'
-    )
-    mid_y = (y_pixel(0) + y_pixel(100)) / 2
-    parts.append(
-        f'<text x="{_FONT_SIZE + 2}" y="{_fmt(mid_y)}" '
-        f'font-size="{_FONT_SIZE + 2}" text-anchor="middle" '
-        f'transform="rotate(-90 {_FONT_SIZE + 2} {_fmt(mid_y)})">active sum (normalized)</text>'
+    mid_y = (bottom + top) / 2
+    parts += (
+        f'<text x="{(left + right) / 2:.2f}" y="{_CANVAS - 8:.2f}" font-size="{_FONT_SIZE + 2}" '
+        'text-anchor="middle">passive sum (normalized)</text>',
+        f'<text x="{_FONT_SIZE + 2}" y="{mid_y:.2f}" font-size="{_FONT_SIZE + 2}" text-anchor="middle" '
+        f'transform="rotate(-90 {_FONT_SIZE + 2} {mid_y:.2f})">active sum (normalized)</text>',
     )
 
     for slope in (float(cfg.dominant_ratio), float(cfg.reactive_ratio)):
-        px, py = _ray_end(slope)
+        # Intersection of active = slope * passive with the border of [0,100]^2.
+        px, py = (100.0 / slope, 100.0) if slope >= 1.0 else (100.0, 100.0 * slope)
         parts.append(
-            f'<line class="boundary" x1="{_fmt(x_pixel(0))}" y1="{_fmt(y_pixel(0))}" '
-            f'x2="{_fmt(x_pixel(px))}" y2="{_fmt(y_pixel(py))}" '
+            f'<line class="boundary" x1="{left:.2f}" y1="{bottom:.2f}" '
+            f'x2="{x_pixel(px):.2f}" y2="{y_pixel(py):.2f}" '
             'stroke="#999999" stroke-width="1" stroke-dasharray="6,4"/>'
         )
 
-    for score in sorted(scores, key=lambda s: s.factor.id):
+    s = _MARKER_SIZE
+    for score in sorted(scores, key=lambda score: score.factor.id):
         x = x_pixel(score.passive_norm)
         y = y_pixel(score.active_norm)
-        shape, fill = _MARKER_STYLE[score.region.value]
-        parts.append(f'<g class="marker" data-factor="{score.factor.id}">')
-        parts.append(_marker_element(shape, fill, x, y, _MARKER_SIZE))
-        parts.append(
-            f'<text x="{_fmt(x + _MARKER_SIZE + 2)}" y="{_fmt(y - _MARKER_SIZE - 2)}" '
-            f'font-size="{_FONT_SIZE}">{score.factor.id}</text>'
+        parts += (
+            f'<g class="marker" data-factor="{score.factor.id}">',
+            _MARKERS[score.region.value].format(x=x, y=y, l=x - s, r=x + s, t=y - s, b=y + s, s=s, d=2 * s),
+            f'<text x="{x + s + 2:.2f}" y="{y - s - 2:.2f}" font-size="{_FONT_SIZE}">{score.factor.id}</text>',
+            "</g>",
         )
-        parts.append("</g>")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _ray_end(slope: float) -> tuple[float, float]:
-    # Intersection of active = slope * passive with the border of [0,100]^2.
-    if slope >= 1.0:
-        return 100.0 / slope, 100.0
-    return 100.0, 100.0 * slope
-
-
-def _marker_element(shape: str, fill: str, x: float, y: float, size: float) -> str:
-    if shape == "circle":
-        return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(size)}" fill="{fill}"/>'
-    if shape == "square":
-        return (
-            f'<rect x="{_fmt(x - size)}" y="{_fmt(y - size)}" '
-            f'width="{_fmt(2 * size)}" height="{_fmt(2 * size)}" fill="{fill}"/>'
-        )
-    if shape == "triangle":
-        points = f"{_fmt(x)},{_fmt(y - size)} {_fmt(x - size)},{_fmt(y + size)} {_fmt(x + size)},{_fmt(y + size)}"
-    else:  # diamond
-        points = f"{_fmt(x)},{_fmt(y - size)} {_fmt(x + size)},{_fmt(y)} {_fmt(x)},{_fmt(y + size)} {_fmt(x - size)},{_fmt(y)}"
-    return f'<polygon points="{points}" fill="{fill}"/>'
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
 
 
 _DOT_SHAPES = {

@@ -18,7 +18,8 @@ NAME_CHARS = (
 HEADER_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789 /#.-"
 
 name_texts = st.text(alphabet=NAME_CHARS, min_size=1, max_size=24).filter(lambda s: s.strip())
-header_texts = st.text(alphabet=HEADER_CHARS, min_size=0, max_size=16)
+# Not blank: a header with no text gets a warning, which serialize_document refuses to write.
+header_texts = st.text(alphabet=HEADER_CHARS, min_size=1, max_size=16).filter(lambda s: s.strip())
 
 
 @st.composite

@@ -202,15 +202,28 @@ def test_analyze_reads_sums_csv_with_byte_order_mark(tmp_path, capsys):
 
 
 def test_output_file_mode_follows_umask(tmp_path):
+    # Each new file follows the umask in force at its own write, within one process.
     previous = os.umask(0o022)
-    cli._new_file_mode.cache_clear()
     try:
-        out = tmp_path / "m.csv"
-        assert main(["matrix", CHAIN_FILES[0], "-o", str(out)]) == 0
-        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert main(["matrix", CHAIN_FILES[0], "-o", str(tmp_path / "m.csv")]) == 0
+        os.umask(0o077)
+        assert main(["matrix", CHAIN_FILES[0], "-o", str(tmp_path / "private.csv")]) == 0
     finally:
         os.umask(previous)
-        cli._new_file_mode.cache_clear()
+    assert stat.S_IMODE((tmp_path / "m.csv").stat().st_mode) == 0o644
+    assert stat.S_IMODE((tmp_path / "private.csv").stat().st_mode) == 0o600
+
+
+def test_rewritten_output_file_keeps_its_permissions(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        out = tmp_path / "report.csv"
+        assert main(["analyze", CHAIN_FILES[0], "-o", str(out)]) == 0
+        out.chmod(0o600)
+        assert main(["analyze", CHAIN_FILES[0], "-o", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
 
 
 def test_analyze_rejects_malformed_sums_csv(tmp_path, capsys):
@@ -450,9 +463,10 @@ def test_output_digests_script_prints_the_same_lines_twice():
     lines = [line.split(" ") for line in first.splitlines()]
     assert all(len(fields) == 3 and len(fields[2]) == 64 for fields in lines)
     commands = {label.split("[")[0] for label, _, _ in lines}
-    assert commands == {"validate", "analyze", "matrix", "dot", "plot", "from-sums", "import-rapex"}
+    assert commands == {"validate", "analyze", "matrix", "dot", "plot", "from-sums", "plot-from-sums", "import-rapex"}
     # Every chain command on all files together and on each alone, each output file and skeleton.
     assert ["plot[*.chains]", "out"] in [fields[:2] for fields in lines]
+    assert ["plot-from-sums[table1_as_printed.csv]", "out"] in [fields[:2] for fields in lines]
     assert {label for label, _, _ in lines if label.startswith("dot[chains/")} == {
         f"dot[chains/{name}]" for name in ("burn.chains", "shock.chains", "poisoning.chains")
     }
@@ -622,6 +636,14 @@ BAD_INPUTS = [
         2,
         "error: {path}: line 2: 4 cells, but the header has 5",
     ),
+    # Each row would otherwise be read with the later of the two cells.
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "column-twice.csv",
+        b"\nid,category,name,active_sum,passive_sum,active_sum\n1,component,plug,5,0,7\n",
+        2,
+        "error: {path}: line 2: column 'active_sum' appears twice",
+    ),
     # A spreadsheet's trailing empty rows are skipped with a warning, which --strict refuses.
     (
         ["analyze", "--strict", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
@@ -629,6 +651,13 @@ BAD_INPUTS = [
         (SUMS_TABLE + "\n,,,,\n , ,,,\n").encode("utf-8"),
         1,
         "{path}: line 5: warning: empty row skipped",
+    ),
+    (
+        ["validate", "--strict", "{path}"],
+        "no-text.chains",
+        b'alert: a\n  case:   \ncomponent "plug"\nharm "burn"\n',
+        1,
+        "{path}:2:3: warning: 'case:' header has no text",
     ),
     (
         ["analyze", "--strict", "{path}", "{path}", "-o", "{tmp}/out.csv"],
@@ -646,7 +675,8 @@ BAD_INPUTS = [
     ids=[
         "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "latin1-alerts",
         "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "negative-id", "zero-id",
-        "too-many-digits", "sixth-cell", "fourth-cell", "empty-rows-strict", "same-file-twice-strict",
+        "too-many-digits", "sixth-cell", "fourth-cell", "column-twice", "empty-rows-strict",
+        "no-text-strict", "same-file-twice-strict",
     ],
 )
 def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, code, first_line):

@@ -174,6 +174,31 @@ def test_serialize_refuses_multiline_header_text():
         serialize_document(bad)
 
 
+@pytest.mark.parametrize("alert, case", [("", "c"), ("a", "   ")])
+def test_serialize_refuses_a_header_with_no_text(alert, case):
+    bad = ChainSet((FailureChain(alert, case, ((C.COMPONENT, "x"), (C.HARM, "h"))),))
+    field_name = "alert" if not alert else "case"
+    with pytest.raises(ValueError, match=f"chain 0: {field_name} header has no text"):
+        serialize_document(bad)
+
+
+def test_header_with_no_text_is_warned_about_and_the_chain_counts():
+    doc = 'gizmo "x"\n---\n  alert:\n# note\nCASE:   \ncomponent "plug"\nharm "burn"\n'
+    chain_set, diagnostics = parse_document(doc)
+    assert chain_set == ChainSet((FailureChain("", "", ((C.COMPONENT, "plug"), (C.HARM, "burn"))),))
+    assert diagnostics == [
+        Diagnostic(Severity.ERROR, 1, 1, "unknown category 'gizmo'"),
+        Diagnostic(Severity.ERROR, 1, 1, "missing required header 'alert:'"),
+        Diagnostic(Severity.ERROR, 1, 1, "missing required header 'case:'"),
+        Diagnostic(Severity.WARNING, 3, 3, "'alert:' header has no text"),
+        Diagnostic(Severity.WARNING, 5, 1, "'case:' header has no text"),
+    ]
+    # A chain that breaks an invariant is excluded; its warning comes first, in line order.
+    chain_set, diagnostics = parse_document('alert:\ncase: c\nharm "burn"\n')
+    assert chain_set == ChainSet()
+    assert [(d.severity, d.line) for d in diagnostics] == [(Severity.WARNING, 1), (Severity.ERROR, 3)]
+
+
 def test_names_with_quotes_and_backslashes_round_trip():
     steps = ((C.COMPONENT, 'say "hi" \\ now'), (C.HARM, "tab\there"))
     original = ChainSet((FailureChain("a", "c", steps),))
@@ -453,6 +478,8 @@ def reference_parse(source):
                     message = f"duplicate header '{key}:'"
                 else:
                     headers[key] = header.group(2).strip()
+                    if not headers[key]:
+                        errors.append(Diagnostic(Severity.WARNING, lineno, column, f"'{key}:' header has no text"))
                     continue
                 errors.append(Diagnostic(Severity.ERROR, lineno, column, message))
                 continue
@@ -479,15 +506,16 @@ def reference_parse(source):
             if key not in headers:
                 message = f"missing required header '{key}:'"
                 errors.append(Diagnostic(Severity.ERROR, content[0][0], 1, message))
-        if not errors:
+        if all(d.severity is Severity.WARNING for d in errors):
             chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
-            for violation in validate_chain(chain):
+            violations = validate_chain(chain)
+            for violation in violations:
                 if 1 <= violation.step <= len(steps):
                     lineno, column = step_lines[violation.step - 1]
                 else:
                     lineno, column = content[0][0], 1
                 errors.append(Diagnostic(Severity.ERROR, lineno, column, f"{violation.rule}: {violation.message}"))
-            if not errors:
+            if not violations:
                 chains.append(chain)
         diagnostics.extend(errors)
     return ChainSet(tuple(chains)), diagnostics
@@ -507,6 +535,7 @@ LINE_VARIANTS = {
     "twice": lambda line: [line, line],
     "blank": lambda line: ["", line],
     "control": lambda line: [line.replace('"', '"\x07', 1)],
+    "no text": lambda line: [re.sub(r"(?i)^(\s*(?:alert|case):).*", r"\1  ", line)],
 }
 
 

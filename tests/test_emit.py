@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from fractions import Fraction
 
 from hypothesis import example, given
@@ -190,6 +191,27 @@ def test_scatter_svg_marker_positions_and_counts():
     x = x_pixel(100 * 23 / 24)  # factor 1 passive norm, printed as 95.8
     y = y_pixel(100.0)
     assert f'cx="{x:.2f}" cy="{y:.2f}"' in svg
+
+
+def test_scatter_svg_draws_each_region_marker_exactly():
+    factors = tuple(Factor(C.COMPONENT, name, name, i) for i, name in enumerate("abcd", start=1))
+    scores = analyze(SumsTable(factors, (4, 2, 0, 0), (0, 2, 4, 0)))
+    assert [score.region.value for score in scores] == ["dominant", "dynamic", "reactive", "isolated"]
+    svg = render_scatter_svg(scores, AnalysisConfig())
+    assert re.findall(r'<g class="marker".*?</g>', svg, re.S) == [
+        '<g class="marker" data-factor="1">\n'
+        '<polygon points="60.00,55.00 55.00,65.00 65.00,65.00" fill="#d62728"/>\n'
+        '<text x="67.00" y="53.00" font-size="11">1</text>\n</g>',
+        '<g class="marker" data-factor="2">\n'
+        '<circle cx="400.00" cy="400.00" r="5.00" fill="#1f77b4"/>\n'
+        '<text x="407.00" y="393.00" font-size="11">2</text>\n</g>',
+        '<g class="marker" data-factor="3">\n'
+        '<rect x="735.00" y="735.00" width="10.00" height="10.00" fill="#2ca02c"/>\n'
+        '<text x="747.00" y="733.00" font-size="11">3</text>\n</g>',
+        '<g class="marker" data-factor="4">\n'
+        '<polygon points="60.00,735.00 65.00,740.00 60.00,745.00 55.00,740.00" fill="#7f7f7f"/>\n'
+        '<text x="67.00" y="733.00" font-size="11">4</text>\n</g>',
+    ]
 
 
 def test_scatter_svg_boundary_rays_follow_config():
