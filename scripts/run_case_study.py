@@ -14,10 +14,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from keyfactors.cli import main as keyfactors
-
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+# A fresh checkout runs without an install: the package is read from src/.
+sys.path.insert(0, str(ROOT / "src"))
+
+from keyfactors.cli import main as keyfactors  # noqa: E402
 
 
 def run(argv: list[str]) -> None:

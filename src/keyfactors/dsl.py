@@ -222,25 +222,15 @@ def _read_block(
     chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
     if step_identities(chain) is not None:
         return chain, found
-    step_lines = [(i + 1, lines[i]) for i in range(start, end) if type(kinds[i]) is tuple]
-    return None, found + _violation_diagnostics(chain, step_lines, first_line)
-
-
-def _violation_diagnostics(
-    chain: FailureChain, step_lines: list[tuple[int, str]], first_line: int
-) -> list[Diagnostic]:
-    """One error per broken invariant, at its step's (line number, line), else at first_line."""
-    errors = []
+    step_lines = [i for i in range(start, end) if type(kinds[i]) is tuple]
     for violation in validate_chain(chain):
-        if 1 <= violation.step <= len(step_lines):
-            lineno, line = step_lines[violation.step - 1]
-            column = _column(line)
-        else:
+        if violation.step <= len(step_lines):
+            index = step_lines[violation.step - 1]
+            lineno, column = index + 1, _column(lines[index])
+        else:  # TooShort in a block with no steps
             lineno, column = first_line, 1
-        errors.append(
-            Diagnostic(Severity.ERROR, lineno, column, f"{violation.rule}: {violation.message}")
-        )
-    return errors
+        found.append(Diagnostic(Severity.ERROR, lineno, column, f"{violation.rule}: {violation.message}"))
+    return None, found
 
 
 def _column(line: str) -> int:

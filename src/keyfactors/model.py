@@ -190,7 +190,8 @@ def step_identities(chain: FailureChain) -> list[Identity] | None:
     table and build_matrix's call costs one lookup per step; a chain is
     checked on every call, so a bare ChainSet is still validated in full.
     The check is cheap and exact: None means validate_chain finds at
-    least one violation (so callers run it only then), a list means it finds none.
+    least one violation (so callers run it only then), a list means it
+    finds none. validate_chain reads the same table.
     """
     steps = chain.steps
     try:
@@ -212,58 +213,35 @@ def validate_chain(chain: FailureChain) -> list[Violation]:
     """Every broken chain invariant, in step order.
 
     An empty list means the chain is accepted by the matrix builder.
-    MissingHarm is suppressed when a misplaced harm already explains why
-    the final step is not the harm. Callers ask step_identities first
-    and call this only when it returns None, to say why.
+    Identities come from the table step_identities reads, so a chain it
+    has rejected is explained without normalizing its names again; a
+    blank name has no identity, so the steps around it are not adjacent.
+    MissingHarm is reported only when no step is a harm. Callers ask
+    step_identities first and call this only when it returns None, to say why.
     """
     violations: list[Violation] = []
     steps = chain.steps
     n = len(steps)
-
     if n < 2:
         violations.append(
-            Violation(
-                TOO_SHORT,
-                1,
-                f"chain has {n} step(s); at least one step must precede the terminal harm",
-            )
+            Violation(TOO_SHORT, 1, f"chain has {n} step(s); at least one step must precede the terminal harm")
         )
-
-    keys: list[str | None] = []
-    for _, name in steps:
+    previous = None
+    for i, step in enumerate(steps, start=1):
+        category, name = step
         try:
-            keys.append(normalize_name(name))
+            identity = _IDENTITIES[step]
         except EmptyNameError:
-            keys.append(None)
-
-    misplaced_harm = False
-    for i, (category, name) in enumerate(steps, start=1):
-        if keys[i - 1] is None:
-            violations.append(
-                Violation(EMPTY_NAME, i, f"step {i} name {name!r} is empty after normalization")
-            )
+            identity = None
+            violations.append(Violation(EMPTY_NAME, i, f"step {i} name {name!r} is empty after normalization"))
         if category is FactorCategory.HARM and i < n:
-            misplaced_harm = True
-            violations.append(
-                Violation(
-                    HARM_NOT_TERMINAL, i, f"harm {name!r} at step {i} is not the final step"
-                )
-            )
-        if i >= 2 and keys[i - 1] is not None and keys[i - 2] is not None:
-            if category is steps[i - 2][0] and keys[i - 1] == keys[i - 2]:
-                violations.append(
-                    Violation(
-                        SELF_TRANSITION, i, f"step {i} repeats the preceding factor {name!r}"
-                    )
-                )
-
-    if n >= 1 and steps[-1][0] is not FactorCategory.HARM and not misplaced_harm:
+            violations.append(Violation(HARM_NOT_TERMINAL, i, f"harm {name!r} at step {i} is not the final step"))
+        if identity is not None and identity == previous:
+            violations.append(Violation(SELF_TRANSITION, i, f"step {i} repeats the preceding factor {name!r}"))
+        previous = identity
+    if steps and all(category is not FactorCategory.HARM for category, _ in steps):
         violations.append(
-            Violation(
-                MISSING_HARM,
-                n,
-                f"final step must be a harm, got category '{steps[-1][0].value}'",
-            )
+            Violation(MISSING_HARM, n, f"final step must be a harm, got category '{steps[-1][0].value}'")
         )
     return violations
 

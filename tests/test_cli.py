@@ -232,6 +232,17 @@ def test_analyze_rejects_malformed_sums_csv(tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
+def test_sums_categories_are_read_in_any_documented_spelling(tmp_path, capsys):
+    path = write(
+        tmp_path, "sums.csv",
+        "id,category,name,active_sum,passive_sum\n"
+        "1,Control Factor,a,1,0\n2,controlfactor,b,1,0\n3,noise_factor,c,1,0\n4, HARM ,h,0,3\n",
+    )
+    assert main(["analyze", "--from-sums", path]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["category"] for row in rows] == ["control", "control", "noise", "harm"]
+
+
 def test_analyze_without_any_input_exits_one(capsys):
     assert main(["analyze"]) == 1
     assert "usage:" in capsys.readouterr().err
@@ -439,8 +450,9 @@ def test_help_exits_zero(capsys):
 
 
 def test_case_study_script_writes_every_documented_output(tmp_path):
+    # From a fresh checkout: the script finds the package without an install or PYTHONPATH.
     out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_case_study.py"), "--out", str(out)],
         env=env, capture_output=True, text=True,
@@ -460,6 +472,8 @@ def test_output_digests_script_prints_the_same_lines_twice():
     (first, first_err), (second, second_err) = (run.communicate(timeout=300) for run in runs)
     assert [run.returncode for run in runs] == [0, 0], first_err + second_err
     assert first == second
+    # Criterion 8 on the fixtures: a change that alters an output regenerates this file.
+    assert first == (ROOT / "tests" / "data" / "output_digests.txt").read_text(encoding="utf-8")
     lines = [line.split(" ") for line in first.splitlines()]
     assert all(len(fields) == 3 and len(fields[2]) == 64 for fields in lines)
     commands = {label.split("[")[0] for label, _, _ in lines}
@@ -603,6 +617,13 @@ BAD_INPUTS = [
     ),
     (
         ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "unknown-category.csv",
+        sums_row("1,ctrl,Gerät,2,0"),
+        2,
+        "error: {path}: line 2: unknown category 'ctrl'",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
         "negative.csv",
         sums_row("-1,component,Gerät,2,0"),
         2,
@@ -674,9 +695,9 @@ BAD_INPUTS = [
     BAD_INPUTS,
     ids=[
         "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "latin1-alerts",
-        "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "negative-id", "zero-id",
-        "too-many-digits", "sixth-cell", "fourth-cell", "column-twice", "empty-rows-strict",
-        "no-text-strict", "same-file-twice-strict",
+        "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "unknown-category",
+        "negative-id", "zero-id", "too-many-digits", "sixth-cell", "fourth-cell", "column-twice",
+        "empty-rows-strict", "no-text-strict", "same-file-twice-strict",
     ],
 )
 def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, code, first_line):

@@ -101,6 +101,61 @@ def test_violations_come_in_step_order():
     assert steps == sorted(steps)
 
 
+TOO_SHORT_TEXT = "chain has {} step(s); at least one step must precede the terminal harm"
+
+
+@pytest.mark.parametrize(
+    "steps, expected",
+    [
+        ((), [(TOO_SHORT, 1, TOO_SHORT_TEXT.format(0))]),
+        (((C.HARM, "burn"),), [(TOO_SHORT, 1, TOO_SHORT_TEXT.format(1))]),
+        (
+            ((C.COMPONENT, "  "), (C.HARM, "burn")),
+            [(EMPTY_NAME, 1, "step 1 name '  ' is empty after normalization")],
+        ),
+        (
+            ((C.COMPONENT, "plug"), (C.HARM, "burn"), (C.ACTION, "user pulls")),
+            [(HARM_NOT_TERMINAL, 2, "harm 'burn' at step 2 is not the final step")],
+        ),
+        (
+            ((C.COMPONENT, "plug"), (C.ACTION, "user pulls")),
+            [(MISSING_HARM, 2, "final step must be a harm, got category 'action'")],
+        ),
+        (
+            ((C.COMPONENT, "Plug"), (C.COMPONENT, "  plug "), (C.HARM, "burn")),
+            [(SELF_TRANSITION, 2, "step 2 repeats the preceding factor '  plug '")],
+        ),
+        # A blank name has no identity, so the equal steps around it are not adjacent.
+        (
+            ((C.COMPONENT, "plug"), (C.COMPONENT, " "), (C.COMPONENT, "plug"), (C.HARM, "burn")),
+            [(EMPTY_NAME, 2, "step 2 name ' ' is empty after normalization")],
+        ),
+        (
+            ((C.HARM, "x"), (C.COMPONENT, " "), (C.HARM, "y"), (C.ACTION, "z")),
+            [
+                (HARM_NOT_TERMINAL, 1, "harm 'x' at step 1 is not the final step"),
+                (EMPTY_NAME, 2, "step 2 name ' ' is empty after normalization"),
+                (HARM_NOT_TERMINAL, 3, "harm 'y' at step 3 is not the final step"),
+            ],
+        ),
+        (
+            ((C.HARM, "burn"), (C.HARM, "Burn")),
+            [
+                (HARM_NOT_TERMINAL, 1, "harm 'burn' at step 1 is not the final step"),
+                (SELF_TRANSITION, 2, "step 2 repeats the preceding factor 'Burn'"),
+            ],
+        ),
+        (((C.COMPONENT, "insulation"), (C.FUNCTION, "insulation"), (C.HARM, "burn")), []),
+    ],
+    ids=[
+        "no-steps", "lone-harm", "blank-first", "harm-2-of-3", "no-harm", "respelled-repeat",
+        "blank-between-equal", "harm-blank-harm-action", "two-equal-harms", "name-in-two-categories",
+    ],
+)
+def test_validate_chain_reports_exactly(steps, expected):
+    assert validate_chain(chain(*steps)) == expected
+
+
 def test_factor_identity_is_category_plus_key():
     a = Factor(C.COMPONENT, "Plug", "plug", 1)
     b = Factor(C.COMPONENT, "plug", "plug", 2)
@@ -164,3 +219,16 @@ def test_identity_table_starts_over_when_full(monkeypatch):
         assert step_identities(chain(*steps)) == expected
         assert len(model._IDENTITIES) <= 3
     assert step_identities(chain(*steps[:2], (C.EFFECT, " b "), steps[4])) is None
+
+
+def test_a_rejected_chain_is_explained_without_normalizing_again(monkeypatch):
+    monkeypatch.setattr(model, "_IDENTITIES", model._Memo(model._IDENTITIES.compute))
+    calls = []
+    normalize = model.normalize_name
+    monkeypatch.setattr(model, "normalize_name", lambda raw: calls.append(raw) or normalize(raw))
+    rejected = chain((C.COMPONENT, "Plug"), (C.COMPONENT, " plug "), (C.HARM, "burn"), (C.ACTION, "pull"))
+    assert step_identities(rejected) is None
+    assert calls == ["Plug", " plug ", "burn", "pull"]
+    calls.clear()
+    assert [v.rule for v in validate_chain(rejected)] == [SELF_TRANSITION, HARM_NOT_TERMINAL]
+    assert calls == []
