@@ -15,24 +15,23 @@ standard output closed early (``keyfactors matrix ... | head``) ends the
 run quietly with exit 2. Without -o, output goes to standard output;
 file writes are atomic (temp file plus rename), so rerunning with
 unchanged inputs rewrites identical bytes. A rewritten file keeps its
-permission bits; a new one gets 0666 less the umask at that write.
+permission bits; a new one gets the mode open() would give it.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
 never load the matrix, analysis or emit layers, and `matrix` and `dot`
-never load analysis.
+never load analysis; only `import-rapex` loads pathlib.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import operator
 import os
 import sys
-import tempfile
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, TextIO
 
 from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
@@ -151,8 +150,8 @@ def _add_analysis_overrides(parser: argparse.ArgumentParser) -> None:
 def _number(text: str) -> Decimal:
     """A threshold exactly as written: 0.1 stays one tenth, where a float would not.
 
-    Magnitudes beyond a float's range are refused: the exact ratio of a
-    value such as 1e-999999999 would take gigabytes.
+    A signaling NaN and a nonzero magnitude beyond a float's range are
+    refused: 1e-999999999 would take gigabytes as an exact ratio.
     """
     from decimal import Decimal, InvalidOperation
 
@@ -160,7 +159,7 @@ def _number(text: str) -> Decimal:
         value = Decimal(text)
     except InvalidOperation:
         value = None
-    if value is None or abs(value.adjusted()) > 308:
+    if value is None or value.is_snan() or (value and abs(value.adjusted()) > 308):
         raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
     return value
 
@@ -204,6 +203,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_rapex(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from keyfactors.rapex import MalformedRecordError, import_rapex, parse_alert_records
 
     text = _read_text(args.alerts)
@@ -222,9 +223,9 @@ def _cmd_import_rapex(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, document in files:
-        path = out_dir / name
+        path = str(out_dir / name)
         _write_atomic(path, document)
-        print(str(path))
+        print(path)
     return 0
 
 
@@ -324,7 +325,8 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError:
         # The decoder counts positions from the start of its chunk, so the
         # whole file is decoded once more to find the first bad byte.
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -345,7 +347,7 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
     from keyfactors.matrix import SumsTable
 
     reader = csv.reader(io.StringIO(_read_text(path)))
-    header = next(filter(None, reader), [])
+    header = [cell.strip() for cell in next(filter(None, reader), [])]
     missing = [c for c in SUMS_COLUMNS if c not in header]
     if missing:
         hint = ""
@@ -409,7 +411,7 @@ def _write_output(text: str, output: str | None) -> None:
     if output is None:
         _write_text(sys.stdout, text)
     else:
-        _write_atomic(Path(output), text)
+        _write_atomic(output, text)
 
 
 def _write_text(handle: TextIO, text: str) -> None:
@@ -417,29 +419,20 @@ def _write_text(handle: TextIO, text: str) -> None:
         handle.write(text[start : start + _CHARS_PER_WRITE])
 
 
-def _file_mode(path: Path) -> int:
-    """The permission bits open(path, "w") would leave: the replaced file's, else 0o666 less the umask."""
-    try:
-        return os.stat(path).st_mode & 0o777
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+def _write_atomic(path: str, text: str) -> None:
+    # O_EXCL on a random name follows no symlink and reuses no file; the
+    # kernel applies the umask (or a default ACL) to 0o666, as open() does.
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            # mkstemp creates the file as 0600; give it the mode open() would have.
-            os.fchmod(handle.fileno(), _file_mode(path))
+            with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its bits
+                os.fchmod(fd, os.stat(path).st_mode & 0o777)
             _write_text(handle, text)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise
 
 

@@ -162,13 +162,26 @@ def test_analyze_reads_ratios_exactly_as_written(tmp_path, capsys):
 
 
 def test_analyze_rejects_unreadable_and_out_of_range_numbers(capsys):
-    for value in ("abc", "1e-999999999", "1e400"):
+    for value in ("abc", "1e-999999999", "1e400", "sNaN", "-sNaN"):
+        # With "=", argparse takes a value that starts with "-" as the option's.
+        code = main([
+            "analyze", "--from-sums", str(DATA / "table1_rank_consistent.csv"),
+            f"--key-threshold={value}",
+        ])
+        assert code == 2
+        assert f"invalid number: '{value}'" in capsys.readouterr().err
+
+
+def test_analyze_reads_a_zero_of_any_exponent_as_zero(capsys):
+    reports = []
+    for value in ("0", "0e-999999"):
         code = main([
             "analyze", "--from-sums", str(DATA / "table1_rank_consistent.csv"),
             "--key-threshold", value,
         ])
-        assert code == 2
-        assert f"invalid number: '{value}'" in capsys.readouterr().err
+        assert code == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_analyze_from_sums_warns_when_totals_do_not_conserve(tmp_path, capsys):
@@ -226,10 +239,45 @@ def test_rewritten_output_file_keeps_its_permissions(tmp_path):
     assert stat.S_IMODE(out.stat().st_mode) == 0o600
 
 
+def test_new_and_rewritten_output_files_make_no_umask_call(tmp_path, monkeypatch):
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    previous = os.umask(0o022)
+    monkeypatch.setattr(os, "umask", no_umask)
+    try:
+        out = tmp_path / "m.csv"
+        for _ in range(2):  # a new file, then the same file rewritten
+            assert main(["matrix", CHAIN_FILES[0], "-o", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    finally:
+        monkeypatch.undo()
+        os.umask(previous)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_output_into_a_missing_directory_exits_two_and_writes_nothing(tmp_path, capsys):
+    assert main(["matrix", CHAIN_FILES[0], "-o", str(tmp_path / "newdir") + "/"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_rejects_malformed_sums_csv(tmp_path, capsys):
     path = write(tmp_path, "sums.csv", "id,category,name\n1,component,x\n")
     assert main(["analyze", "--from-sums", path]) == 2
     assert "missing columns" in capsys.readouterr().err
+
+
+def test_sums_header_is_read_with_blanks_around_its_names(tmp_path, capsys):
+    plain = write(tmp_path, "plain.csv", SUMS_TABLE)
+    padded = write(tmp_path, "padded.csv", SUMS_TABLE.replace(",", ", ", 4).replace("id", " id", 1))
+    assert main(["analyze", "--from-sums", plain]) == 0
+    expected = capsys.readouterr()
+    assert main(["analyze", "--from-sums", padded]) == 0
+    assert capsys.readouterr() == expected
+    twice = write(tmp_path, "twice.csv", SUMS_TABLE.replace("passive_sum\n", "passive_sum, id \n", 1))
+    assert main(["analyze", "--from-sums", twice]) == 2
+    assert capsys.readouterr().err == f"error: {twice}: line 1: column 'id' appears twice\n"
 
 
 def test_sums_categories_are_read_in_any_documented_spelling(tmp_path, capsys):
@@ -489,13 +537,14 @@ def test_output_digests_script_prints_the_same_lines_twice():
 
 
 # Prints the keyfactors modules loaded after running the CLI on its arguments,
-# then which of the stdlib modules the probe watches were loaded.
+# then which of the stdlib modules the probe watches were loaded. It runs
+# under -S, so that modules which site's .pth files import cannot hide one.
 MODULE_PROBE = (
     "import sys\n"
     "from keyfactors.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
     "print(*sorted(m for m in sys.modules if m.startswith('keyfactors')))\n"
-    "print('stdlib:', *sorted(m for m in ('dataclasses', 'decimal', 'inspect') if m in sys.modules))\n"
+    "print('stdlib:', *sorted(m for m in ('dataclasses', 'decimal', 'inspect', 'pathlib', 'tempfile') if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
 
@@ -520,12 +569,14 @@ MODULE_PROBE = (
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    result = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv], env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-S", "-c", MODULE_PROBE, *argv], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     *_, loaded, stdlib = result.stdout.splitlines()
     assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
-    # No command imports dataclasses (which imports inspect); only the emitters' display rounding needs decimal.
-    assert stdlib.split() == ["stdlib:", *(["decimal"] if "emit" in layers else [])]
+    # No command imports dataclasses (which imports inspect) or tempfile; only the emitters'
+    # display rounding needs decimal, and only import-rapex builds paths with pathlib.
+    expected = [*(["decimal"] if "emit" in layers else []), *(["pathlib"] if "rapex" in layers else [])]
+    assert stdlib.split() == ["stdlib:", *expected]
 
 
 SUMS_TABLE = "id,category,name,active_sum,passive_sum\n1,component,Gerät,2,0\n2,harm,burn,0,2\n"
