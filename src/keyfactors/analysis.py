@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from keyfactors.matrix import SumsTable, build_matrix, competition_rank, sums
+from keyfactors.matrix import SumsTable, competition_rank, sums
 from keyfactors.model import ChainSet, Factor
 
 if TYPE_CHECKING:
@@ -131,7 +131,7 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
     aggregate tables when the underlying chains are unavailable.
     """
     cfg = cfg or AnalysisConfig()
-    table = sums(build_matrix(data)) if isinstance(data, ChainSet) else data
+    table = sums(data) if isinstance(data, ChainSet) else data
     active_max = max(table.active, default=0)
     passive_max = max(table.passive, default=0)
     active_norm = _normalize(table.active, active_max)

@@ -351,7 +351,7 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
     missing = [c for c in SUMS_COLUMNS if c not in header]
     if missing:
         hint = ""
-        if set(SUMS_COLUMNS) <= set(",".join(header).split(";")):
+        if set(SUMS_COLUMNS) <= {part.strip() for part in ",".join(header).split(";")}:
             hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
         raise _InputError(f"error: {path}: missing columns: {', '.join(missing)}{hint}")
     for column in SUMS_COLUMNS:

@@ -11,24 +11,35 @@ its nonzero cells (edges). Building, summing, merging and walking it cost
 O(edges), not O(factors²). The dense CSV export still writes factors² cells,
 but as comma runs between the nonzero cells, in O(factors + edges) steps.
 
+A chain set is numbered once, all its chains end to end: build_matrix
+looks each distinct raw step (category, name) up in the identity table
+once, maps every step to its factor's index with C-level maps, and checks
+the chains on those numbers. sums counts a chain set's sums from the same
+numbers without building the matrix. Neither runs Python code per chain
+or per step, only per distinct raw step and per factor.
+
 RelationshipMatrix and SumsTable are NamedTuples, so they compare equal
 to plain tuples holding the same fields.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from operator import attrgetter, countOf, eq, itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
+from keyfactors import model
 from keyfactors.model import (
     CATEGORY_ORDER,
     ChainSet,
     ChainValidationError,
+    EmptyNameError,
     Factor,
+    FactorCategory,
     Identity,
     normalize_name,
-    step_identities,
     validate_chain,
 )
 
@@ -97,49 +108,73 @@ def _ordered_factors(display: dict[Identity, str]) -> tuple[Factor, ...]:
     )
 
 
+def _invalid(chains: ChainSet) -> ChainValidationError:
+    # The error path only: validate_chain explains each chain the set check rejected.
+    return ChainValidationError(
+        [(index, violations) for index, chain in enumerate(chains) if (violations := validate_chain(chain))]
+    )
+
+
+def _number(chains: ChainSet) -> tuple[tuple[Factor, ...], list[int]]:
+    """The factors of a chain set and every step's 0-based factor index, all chains end to end.
+
+    Each distinct raw step (category, name) is looked up in the identity
+    table once, whatever the number of chains or steps; the rest runs in
+    C-level maps and counts. The whole set is checked at once, on the
+    numbers: it is valid exactly when every chain has at least two steps
+    and ends in a harm, the set holds as many harms as chains, no name is
+    blank and no two adjacent steps share a factor. In a valid set a harm
+    is followed only by the next chain's first step, which is not a harm,
+    so a chain boundary never shows a false repeat. Raises
+    ChainValidationError, with every offending chain's violations, if the
+    set is invalid.
+    """
+    step_lists = list(map(attrgetter("steps"), chains))
+    steps = list(itertools.chain.from_iterable(step_lists))
+    index = dict.fromkeys(steps)
+    display: dict[Identity, str] = {}
+    try:
+        # Read through the module, so a replaced table (tests swap it) is the one used.
+        for step in index:
+            index[step] = identity = model._IDENTITIES[step]
+            display.setdefault(identity, step[1])
+    except EmptyNameError:
+        raise _invalid(chains) from None
+    factors = _ordered_factors(display)
+    position = {factor.identity: factor.id - 1 for factor in factors}
+    for step, identity in index.items():
+        index[step] = position[identity]
+    rows = list(map(index.__getitem__, steps))
+    harm = FactorCategory.HARM
+    if (
+        min(map(len, step_lists), default=2) < 2
+        or countOf(map(itemgetter(0), map(itemgetter(-1), step_lists)), harm) != len(step_lists)
+        or countOf(map(itemgetter(0), steps), harm) != len(step_lists)
+        or any(map(eq, rows, rows[1:]))
+    ):
+        raise _invalid(chains)
+    return factors, rows
+
+
+def _not_harm(factors: tuple[Factor, ...]) -> Callable[[int], bool]:
+    # Presentation order puts the harms last, so a row is a harm exactly
+    # when it is at least the number of factors that are not harms.
+    return sum(factor.category is not FactorCategory.HARM for factor in factors).__gt__
+
+
 def build_matrix(chains: ChainSet) -> RelationshipMatrix:
     """Fold a chain set into the relationship matrix.
 
-    Each step's identity comes from step_identities, which also checks
-    the chain invariants; validate_chain runs only on the chains that
-    check rejects, to say why. Rejects the whole input (no partial
-    matrix) if any chain is invalid, raising ChainValidationError with
-    every offending chain's violations.
+    Every step is numbered and the whole set checked in one pass
+    (_number), which looks each distinct raw step up once; validate_chain
+    runs only if that check fails, to say why. Rejects the whole input
+    (no partial matrix) if any chain is invalid, raising
+    ChainValidationError with every offending chain's violations.
     """
-    # Paths hold first-appearance numbers rather than identities, so each
-    # chain's identities are freed as soon as they have been looked up.
-    seen: dict[Identity, int] = {}
-    names: list[str] = []
-    paths = []
-    invalid = []
-    for index, chain in enumerate(chains):
-        idents = step_identities(chain)
-        if idents is None:
-            invalid.append((index, validate_chain(chain)))
-            continue
-        try:
-            path = list(map(seen.__getitem__, idents))
-        except KeyError:
-            # The chain brings a new identity: number it and keep its name.
-            path = []
-            for ident, (_, name) in zip(idents, chain.steps):
-                number = seen.setdefault(ident, len(seen))
-                if number == len(names):
-                    names.append(name)
-                path.append(number)
-        paths.append(path)
-    if invalid:
-        raise ChainValidationError(invalid)
-
-    factors = _ordered_factors(dict(zip(seen, names)))
-    index_of = [0] * len(factors)
-    for factor in factors:
-        index_of[seen[factor.identity]] = factor.id - 1
-
-    edges: Counter[tuple[int, int]] = Counter()
-    for path in paths:
-        rows = [index_of[i] for i in path]
-        edges.update(zip(rows, rows[1:]))
+    factors, rows = _number(chains)
+    # Every step that is not a harm is followed by the next step of its
+    # chain; a pair that starts at a harm spans two chains.
+    edges = Counter(itertools.compress(zip(rows, rows[1:]), map(_not_harm(factors), rows)))
     return RelationshipMatrix(factors, edges)
 
 
@@ -162,14 +197,28 @@ def merge(a: RelationshipMatrix, b: RelationshipMatrix) -> RelationshipMatrix:
     return RelationshipMatrix(factors, edges)
 
 
-def sums(matrix: RelationshipMatrix) -> SumsTable:
-    """Row and column sums of the matrix: the active and passive sums."""
-    active = [0] * matrix.size
-    passive = [0] * matrix.size
-    for (r, c), count in matrix.edges.items():
+def sums(data: RelationshipMatrix | ChainSet) -> SumsTable:
+    """Row and column sums of the matrix: the active and passive sums.
+
+    A chain set is checked as build_matrix checks it, and its sums are
+    counted from its steps without building the matrix: a factor's active
+    sum is the number of its steps (0 for a harm), its passive sum the
+    number of its steps that follow a step that is not a harm (the steps
+    that do not open a chain).
+    """
+    if isinstance(data, ChainSet):
+        factors, rows = _number(data)
+        not_harm = _not_harm(factors)
+        active = Counter(filter(not_harm, rows))
+        passive = Counter(itertools.compress(rows[1:], map(not_harm, rows)))
+        every = range(len(factors))
+        return SumsTable(factors, tuple(map(active.__getitem__, every)), tuple(map(passive.__getitem__, every)))
+    active = [0] * data.size
+    passive = [0] * data.size
+    for (r, c), count in data.edges.items():
         active[r] += count
         passive[c] += count
-    return SumsTable(matrix.factors, tuple(active), tuple(passive))
+    return SumsTable(data.factors, tuple(active), tuple(passive))
 
 
 def competition_rank(values: Sequence[int]) -> tuple[int, ...]:

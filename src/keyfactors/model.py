@@ -101,8 +101,10 @@ class FailureChain(
     """One documented failure scenario; len() counts its steps.
 
     Construction is permissive so that malformed chains can still be
-    inspected; invariants are enforced by step_identities at the points
-    of use (matrix building, serialization).
+    inspected; invariants are enforced at the points of use: the parser
+    and serialization check each chain with step_identities, and the
+    matrix builder checks a whole chain set at once on its factor
+    numbers.
     """
 
     __slots__ = ()
@@ -182,16 +184,17 @@ _IDENTITIES = _Memo(lambda step: (step[0], normalize_name(step[1])))
 def step_identities(chain: FailureChain) -> list[Identity] | None:
     """Each step's identity (category, normalized name), or None for an invalid chain.
 
-    Callers take identities from here instead of normalizing names
-    themselves. Identities come from one table keyed by the step
-    (category, raw name), so each distinct step is normalized once per
-    process (until the table holds ``_Memo.limit`` steps and starts
-    over). On the command-line path the parser's check fills the
-    table and build_matrix's call costs one lookup per step; a chain is
-    checked on every call, so a bare ChainSet is still validated in full.
-    The check is cheap and exact: None means validate_chain finds at
-    least one violation (so callers run it only then), a list means it
-    finds none. validate_chain reads the same table.
+    Callers take identities from here, or from the table it reads,
+    instead of normalizing names themselves. The table is keyed by the
+    step (category, raw name), so each distinct step is normalized once
+    per process (until the table holds ``_Memo.limit`` steps and starts
+    over). On the command-line path the parser's check fills the table;
+    build_matrix and sums then look each distinct raw step up in it once
+    and check the whole chain set on the factor numbers, so a bare
+    ChainSet is still validated in full. The check here is cheap and
+    exact: None means validate_chain finds at least one violation (so
+    callers run it only then), a list means it finds none.
+    validate_chain reads the same table.
     """
     steps = chain.steps
     try:

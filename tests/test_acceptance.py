@@ -146,15 +146,15 @@ def test_criterion_4_conservation(corpus):
 
 
 def test_criterion_5_oracle_and_merge_equivalence(corpus):
-    for chain_set in corpus:
-        assert sums(build_matrix(chain_set)) == brute_force_sums(chain_set)
+    for chain_set in (ChainSet(), *corpus):
+        assert sums(chain_set) == sums(build_matrix(chain_set)) == brute_force_sums(chain_set)
         half = len(chain_set) // 2
         first = ChainSet(chain_set.chains[:half])
         second = ChainSet(chain_set.chains[half:])
         merged = merge(build_matrix(first), build_matrix(second))
         assert merged == build_matrix(chain_set)
     _report(5, f"matrix sums match the brute-force oracle and merge equals "
-               f"the concatenated build on {len(corpus)} chain sets")
+               f"the concatenated build on {len(corpus)} chain sets and the empty set")
 
 
 def test_criterion_6_repetition_weighting():

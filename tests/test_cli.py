@@ -370,7 +370,7 @@ def test_analyze_normalizes_each_distinct_step_once(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "normalize_name", counting)
     monkeypatch.setattr(model, "_IDENTITIES", model._Memo(model._IDENTITIES.compute))
     assert main(["analyze", *CHAIN_FILES, "-o", str(tmp_path / "report.csv")]) == 0
-    # Parsing checks every chain and build_matrix looks every step up again.
+    # Parsing checks every chain; sums looks each distinct raw step up again, in the same table.
     assert calls == collections.Counter(name for _, name in set(steps))
 
 
@@ -631,6 +631,14 @@ BAD_INPUTS = [
         "(the file looks semicolon-delimited; sums tables must be comma-separated)",
     ),
     (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "semicolon-padded.csv",
+        SUMS_TABLE.replace(",", "; ").encode("utf-8"),
+        2,
+        "error: {path}: missing columns: id, category, name, active_sum, passive_sum "
+        "(the file looks semicolon-delimited; sums tables must be comma-separated)",
+    ),
+    (
         ["import-rapex", "{path}", "-d", "{tmp}/skeletons"],
         "alerts.json",
         '[{"alertNumber": "A1", "risk": "Verbrühung"}]'.encode("latin-1"),
@@ -745,8 +753,8 @@ BAD_INPUTS = [
     ("argv", "name", "data", "code", "first_line"),
     BAD_INPUTS,
     ids=[
-        "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "latin1-alerts",
-        "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "unknown-category",
+        "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "semicolon-padded-sums",
+        "latin1-alerts", "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "unknown-category",
         "negative-id", "zero-id", "too-many-digits", "sixth-cell", "fourth-cell", "column-twice",
         "empty-rows-strict", "no-text-strict", "same-file-twice-strict",
     ],

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import chain_sets, failure_chains
@@ -170,7 +170,7 @@ def test_empty_chain_set_builds_empty_matrix():
     assert m.factors == ()
     table = sums(m)
     assert len(table) == 0
-    assert brute_force_sums(ChainSet()) == table
+    assert brute_force_sums(ChainSet()) == sums(ChainSet()) == table
 
 
 def test_merge_with_empty_is_identity():
@@ -206,7 +206,7 @@ def test_merge_is_associative_up_to_order(s1, s2, s3):
 
 @given(chain_sets())
 def test_oracle_equivalence(chain_set):
-    assert sums(build_matrix(chain_set)) == brute_force_sums(chain_set)
+    assert sums(chain_set) == sums(build_matrix(chain_set)) == brute_force_sums(chain_set)
 
 
 @given(chain_sets())
@@ -256,7 +256,7 @@ def test_build_memory_grows_with_edges_not_factors_squared():
     assert peak < 16 * 2**20
 
 
-def _maybe_corrupt(chain, mode):
+def _maybe_corrupt(chain, mode, previous=None):
     steps = list(chain.steps)
     if mode == 1 and len(steps) >= 2:  # move the harm off the end
         steps.insert(0, steps.pop())
@@ -264,6 +264,16 @@ def _maybe_corrupt(chain, mode):
         steps[0] = (steps[0][0], "   ")
     elif mode == 3:  # drop everything but the harm
         steps = steps[-1:]
+    elif mode == 4:  # start with the previous chain's last step (its harm), or with this chain's harm
+        steps.insert(0, previous.steps[-1] if previous is not None and previous.steps else steps[-1])
+    elif mode == 5:  # repeat the first step, respelled
+        steps.insert(1, (steps[0][0], f" {steps[0][1]} "))
+    elif mode == 6:  # no steps at all
+        steps = []
+    elif mode == 7:  # a second harm, before the last step
+        steps.insert(1, steps[-1])
+    elif mode == 8:  # swap the last two steps
+        steps[-2], steps[-1] = steps[-1], steps[-2]
     return FailureChain(chain.source_alert, chain.case_label, tuple(steps))
 
 
@@ -276,3 +286,36 @@ def test_build_accepts_exactly_the_chains_validate_accepts(chain, mode):
             build_matrix(ChainSet((candidate,)))
     else:
         build_matrix(ChainSet((candidate,)))
+
+
+@pytest.mark.parametrize("mode", range(9))
+@settings(max_examples=30)
+@given(
+    chain_sets(),
+    st.integers(min_value=0, max_value=5),
+    st.none() | st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=8)),
+)
+def test_the_whole_set_check_rejects_exactly_the_invalid_chains(mode, chain_set, index, other):
+    # One chain is corrupted by ``mode``; ``other`` may corrupt a second one.
+    # Each mode gets its own examples, so a set whose only bad chain is one
+    # that a single clause of the check must catch is always tried. Indices
+    # wrap around the set.
+    modes = {}
+    if chain_set:
+        if other is not None:
+            modes[other[0] % len(chain_set)] = other[1]
+        modes[index % len(chain_set)] = mode
+    chains = []
+    for i, chain in enumerate(chain_set):
+        chains.append(_maybe_corrupt(chain, modes.get(i, 0), chains[-1] if chains else None))
+    candidate = ChainSet(chains)
+    expected = tuple((i, tuple(validate_chain(c))) for i, c in enumerate(candidate) if validate_chain(c))
+    for build in (build_matrix, sums):
+        if expected:
+            with pytest.raises(ChainValidationError) as exc_info:
+                build(candidate)
+            assert exc_info.value.invalid == expected
+        else:
+            build(candidate)
+    if not expected:
+        assert sums(candidate) == sums(build_matrix(candidate)) == brute_force_sums(candidate)
