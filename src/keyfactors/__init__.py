@@ -39,7 +39,6 @@ _EXPORTS = {
     "export_dot": "emit",
     "export_matrix_csv": "emit",
     "export_report_csv": "emit",
-    "format_display": "emit",
     "import_rapex": "rapex",
     "merge": "matrix",
     "normalize_name": "model",

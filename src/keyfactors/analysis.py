@@ -6,8 +6,8 @@ rank), and classified into regions by the ratio of the normalized
 values. Key factors are those whose combined normalized magnitude
 clears a configurable threshold. Region and key decisions are made on
 the integer sums, each axis's maximum and the thresholds' exact values,
-by integer cross-multiplication; the float normalized values serve
-display and plotting only.
+by integer cross-multiplication; the float normalized values serve the
+scatter plot only, and the report prints its norms from the integer sums.
 
 AnalysisConfig and FactorScore are NamedTuples, so they compare equal to
 plain tuples holding the same fields.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from keyfactors.matrix import SumsTable, competition_rank, sums
@@ -31,6 +32,8 @@ class Region(Enum):
     DYNAMIC = "dynamic"
     REACTIVE = "reactive"
     ISOLATED = "isolated"
+
+    __hash__ = object.__hash__  # as FactorCategory's: runs in C, where Enum.__hash__ is a Python call
 
 
 class AnalysisConfig(
@@ -131,24 +134,12 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
     aggregate tables when the underlying chains are unavailable.
     """
     cfg = cfg or AnalysisConfig()
-    table = sums(data) if isinstance(data, ChainSet) else data
-    active_max = max(table.active, default=0)
-    passive_max = max(table.passive, default=0)
-    active_norm = _normalize(table.active, active_max)
-    passive_norm = _normalize(table.passive, passive_max)
-    active_rank = competition_rank(table.active)
-    passive_rank = competition_rank(table.passive)
-    return tuple(
-        FactorScore(
-            factor=factor,
-            active_sum=table.active[i],
-            passive_sum=table.passive[i],
-            active_norm=active_norm[i],
-            passive_norm=passive_norm[i],
-            active_rank=active_rank[i],
-            passive_rank=passive_rank[i],
-            region=classify(table.active[i], table.passive[i], active_max, passive_max, cfg),
-            key=_is_key(table.active[i], table.passive[i], active_max, passive_max, cfg),
-        )
-        for i, factor in enumerate(table.factors)
+    factors, active, passive = sums(data) if isinstance(data, ChainSet) else data
+    active_max, passive_max = max(active, default=0), max(passive, default=0)
+    limits = (active_max, passive_max, cfg)
+    columns = (
+        _normalize(active, active_max), _normalize(passive, passive_max),
+        competition_rank(active), competition_rank(passive),
+        map(classify, active, passive, *map(repeat, limits)), map(_is_key, active, passive, *map(repeat, limits)),
     )
+    return tuple(map(FactorScore._make, zip(factors, active, passive, *columns)))

@@ -19,7 +19,8 @@ permission bits; a new one gets the mode open() would give it.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
 never load the matrix, analysis or emit layers, and `matrix` and `dot`
-never load analysis; only `import-rapex` loads pathlib.
+never load analysis; only `import-rapex` loads pathlib, and only a
+threshold option (read exactly, as a Decimal) loads decimal.
 """
 
 from __future__ import annotations
@@ -50,12 +51,14 @@ _LINES_PER_WRITE = 1000
 # Characters per write of an output text, so that TextIOWrapper never
 # encodes a whole multi-megabyte output into one bytes object.
 _CHARS_PER_WRITE = 1 << 18
+# Each threshold option and its metavar.
+_THRESHOLDS = {"--dominant-ratio": "R", "--reactive-ratio": "R", "--key-threshold": "T"}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_thresholds(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -142,9 +145,23 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_analysis_overrides(parser: argparse.ArgumentParser) -> None:
     # No defaults here: an option left out takes AnalysisConfig's.
-    parser.add_argument("--dominant-ratio", type=_number, metavar="R")
-    parser.add_argument("--reactive-ratio", type=_number, metavar="R")
-    parser.add_argument("--key-threshold", type=_number, metavar="T")
+    for option, metavar in _THRESHOLDS.items():
+        parser.add_argument(option, type=_number, metavar=metavar)
+
+
+def _join_thresholds(argv: list[str]) -> list[str]:
+    """argv with each threshold option, or its abbreviation, joined to the next token as OPTION=VALUE, up to any "--".
+
+    argparse reads a separate -1e-3 as an option, by a private rule that differs between Python versions.
+    """
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        if token == "--":
+            return [*joined, token, *tokens]
+        if len(token) > 2 and any(option.startswith(token) for option in _THRESHOLDS):
+            token = "=".join([token, *itertools.islice(tokens, 1)])  # unchanged as the last token
+        joined.append(token)
+    return joined
 
 
 def _number(text: str) -> Decimal:

@@ -3,14 +3,15 @@
 Equal inputs always produce byte-identical output. CSVs use RFC-4180
 style quoting, UTF-8, and LF line endings; decimal separators are
 periods. Zero matrix cells print as empty strings so the grid keeps the
-sparse look of the source diagrams.
+sparse look of the source diagrams. The report prints each norm from its
+integer sum and axis maximum, rounded half up exactly; no float is printed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from decimal import ROUND_HALF_UP, Decimal
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -94,32 +95,36 @@ REPORT_COLUMNS = [
 ]
 
 
-def format_display(value: float) -> str:
-    """One-decimal text form of a value, rounded half away from zero as printed reports are."""
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+def _norm_texts(axis_sums: tuple[int, ...], norms: tuple[float, ...]) -> list[str]:
+    """One axis's norms 100 * s / m as tenths t = (2000 * s + m) // (2 * m), rounded half up with integers only.
+
+    m is the largest sum given (an all-zero axis prints 0.0); scores without the axis's top factor are refused.
+    """
+    m = max(axis_sums)
+    if m and norms[axis_sums.index(m)] != 100.0 * m / m:
+        raise ValueError("the scores lack their axis's top factor; export the whole table")
+    return [f"{t // 10}.{t % 10}" for t in [(2000 * s + m) // (2 * m or 1) for s in axis_sums]]
+
+
+_CATEGORY_TEXT = {category: category.value for category in FactorCategory}
 
 
 def export_report_csv(scores: Sequence[FactorScore]) -> str:
-    """One row per factor in id order, norms printed with one decimal."""
+    """One row per factor in id order, norms printed with one decimal; rows are zipped from whole columns."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for score in sorted(scores, key=lambda s: s.factor.id):
-        writer.writerow(
-            [
-                score.factor.id,
-                score.factor.category.value,
-                score.factor.display_name,
-                score.active_sum,
-                format_display(score.active_norm),
-                score.active_rank,
-                score.passive_sum,
-                format_display(score.passive_norm),
-                score.passive_rank,
-                score.region.value,
-                "true" if score.key else "false",
-            ]
+    if scores:
+        factors, active, passive, active_norm, passive_norm, active_rank, passive_rank, regions, keys = zip(*scores)
+        categories, names, _, ids = zip(*factors)
+        region_text = {region: region.value for region in set(regions)}
+        rows = zip(
+            ids, map(_CATEGORY_TEXT.__getitem__, categories), names,
+            active, _norm_texts(active, active_norm), active_rank,
+            passive, _norm_texts(passive, passive_norm), passive_rank,
+            map(region_text.__getitem__, regions), map(("false", "true").__getitem__, keys),
         )
+        writer.writerows(sorted(rows, key=itemgetter(0)))
     return buffer.getvalue()
 
 

@@ -102,10 +102,8 @@ def _ordered_factors(display: dict[Identity, str]) -> tuple[Factor, ...]:
     # Presentation order: category group first, then first appearance.
     # ``display`` is in first-appearance order and the sort is stable.
     idents = sorted(display, key=lambda ident: CATEGORY_ORDER[ident[0]])
-    return tuple(
-        Factor(category=ident[0], display_name=display[ident], canonical_key=ident[1], id=i)
-        for i, ident in enumerate(idents, start=1)
-    )
+    columns = map(itemgetter(0), idents), map(display.__getitem__, idents), map(itemgetter(1), idents)
+    return tuple(map(Factor._make, zip(*columns, itertools.count(1))))
 
 
 def _invalid(chains: ChainSet) -> ChainValidationError:
@@ -141,7 +139,7 @@ def _number(chains: ChainSet) -> tuple[tuple[Factor, ...], list[int]]:
     except EmptyNameError:
         raise _invalid(chains) from None
     factors = _ordered_factors(display)
-    position = {factor.identity: factor.id - 1 for factor in factors}
+    position = dict(zip(map(itemgetter(0, 2), factors), itertools.count()))  # identity: index
     for step, identity in index.items():
         index[step] = position[identity]
     rows = list(map(index.__getitem__, steps))

@@ -58,7 +58,9 @@ def failure_chains(draw, pool=None):
 @st.composite
 def chain_sets(draw, max_chains=6):
     pool = draw(factor_pools())
-    chains = draw(st.lists(failure_chains(pool=pool), min_size=0, max_size=max_chains))
+    # At least one chain: each property test names the empty set in an @example,
+    # where an empty draw would otherwise take a third or more of its examples.
+    chains = draw(st.lists(failure_chains(pool=pool), min_size=1, max_size=max_chains))
     return ChainSet(tuple(chains))
 
 

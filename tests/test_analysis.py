@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from corpus import chain_sets
@@ -12,7 +12,7 @@ from keyfactors.analysis import (
     classify,
     competition_rank,
 )
-from keyfactors.emit import format_display
+from keyfactors.emit import export_report_csv
 from keyfactors.matrix import SumsTable
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
 
@@ -27,11 +27,16 @@ def sums_table(active, passive):
     return SumsTable(factors, tuple(active), tuple(passive))
 
 
+def printed_norms(scores):
+    """The (active_norm, passive_norm) texts of each report row."""
+    return [tuple(line.split(",")[4:8:3]) for line in export_report_csv(scores).splitlines()[1:]]
+
+
 def test_normalize_is_scaled_by_axis_maximum():
-    first, second, _ = analyze(sums_table([22, 23, 0], [8, 24, 0]))
-    assert format_display(first.active_norm) == "95.7"
+    scores = analyze(sums_table([22, 23, 0], [8, 24, 0]))
+    _, second, _ = scores
+    assert printed_norms(scores)[0] == ("95.7", "33.3")
     assert second.active_norm == 100.0
-    assert format_display(first.passive_norm) == "33.3"
     assert second.passive_norm == 100.0
 
 
@@ -42,9 +47,12 @@ def test_normalize_zero_axis_is_all_zero():
 
 
 def test_display_rounding_is_half_away_from_zero():
-    assert format_display(12.25) == "12.3"  # bankers' rounding would give 12.2
-    assert format_display(95.65217391304348) == "95.7"
-    assert format_display(75.0) == "75.0"
+    # 12.25, 95.652..., 75.0 and 100.0 on the active axis (peak 400) and the passive axis (peak 23).
+    assert printed_norms(analyze(sums_table([49, 400, 300], [4, 22, 23]))) == [
+        ("12.3", "17.4"),  # 12.25: bankers' rounding would give 12.2
+        ("100.0", "95.7"),
+        ("75.0", "100.0"),
+    ]
 
 
 def test_competition_rank_shares_smallest_rank_on_ties():
@@ -222,6 +230,7 @@ def test_analyze_ranks_come_from_exact_sums():
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_every_factor_gets_exactly_one_region_and_valid_ranks(chain_set):
     scores = analyze(chain_set)
     n = len(scores)

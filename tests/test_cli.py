@@ -162,14 +162,22 @@ def test_analyze_reads_ratios_exactly_as_written(tmp_path, capsys):
 
 
 def test_analyze_rejects_unreadable_and_out_of_range_numbers(capsys):
+    sums_path = str(DATA / "table1_rank_consistent.csv")
     for value in ("abc", "1e-999999999", "1e400", "sNaN", "-sNaN"):
-        # With "=", argparse takes a value that starts with "-" as the option's.
-        code = main([
-            "analyze", "--from-sums", str(DATA / "table1_rank_consistent.csv"),
-            f"--key-threshold={value}",
-        ])
-        assert code == 2
-        assert f"invalid number: '{value}'" in capsys.readouterr().err
+        # A value that starts with "-" is the option's, given with "=" or as the next argument.
+        for option in ([f"--key-threshold={value}"], ["--key-threshold", value]):
+            code = main(["analyze", "--from-sums", sums_path, *option])
+            assert code == 2
+            assert f"invalid number: '{value}'" in capsys.readouterr().err
+    # A negative ratio with an exponent reaches the range check in every form.
+    for option in (["--dominant-ratio", "-1e-3"], ["--dominant-ratio=-1e-3"], ["--dom", "-1e-3"]):
+        assert main(["analyze", "--from-sums", sums_path, *option]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "error: ratios must be positive"
+    # An option with no token after it, or a name after "--", is left to argparse.
+    assert main(["analyze", "--from-sums", sums_path, "--key-threshold"]) == 2
+    assert "argument --key-threshold: expected one argument" in capsys.readouterr().err
+    assert main(["analyze", "--", "--key-threshold", "-1"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '--key-threshold'\n"
 
 
 def test_analyze_reads_a_zero_of_any_exponent_as_zero(capsys):
@@ -536,6 +544,18 @@ def test_output_digests_script_prints_the_same_lines_twice():
     assert skeletons and all(stream.startswith("skeletons/") for stream in skeletons)
 
 
+def test_generated_factors_wide_corpus_prints_the_committed_digests(tmp_path):
+    # Criterion 8 beyond the fixtures: the seed-11 factors-wide corpus of the
+    # benchmark (1,456 factors), whose report rows are the widest it prints.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    gen = [sys.executable, str(ROOT / "bench" / "gen.py"), "--workload", "factors-wide", "--seed", "11"]
+    subprocess.run([*gen, "--out", str(tmp_path)], env=env, check=True, capture_output=True, timeout=300)
+    script = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), str(tmp_path)]
+    result = subprocess.run(script, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (ROOT / "tests" / "data" / "factors_wide_seed11_digests.txt").read_text(encoding="utf-8")
+
+
 # Prints the keyfactors modules loaded after running the CLI on its arguments,
 # then which of the stdlib modules the probe watches were loaded. It runs
 # under -S, so that modules which site's .pth files import cannot hide one.
@@ -563,8 +583,12 @@ MODULE_PROBE = (
         (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["dsl", "emit", "matrix"]),
         (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["dsl", "emit", "matrix"]),
         (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "dsl", "emit", "matrix"]),
+        (
+            ["analyze", *CHAIN_FILES, "--key-threshold", "50", "-o", "{tmp}/report.csv"],
+            ["analysis", "dsl", "emit", "matrix"],
+        ),
     ],
-    ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex", "dot", "matrix", "plot"],
+    ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex", "dot", "matrix", "plot", "key-threshold"],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -573,9 +597,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     assert result.returncode == 0, result.stderr
     *_, loaded, stdlib = result.stdout.splitlines()
     assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
-    # No command imports dataclasses (which imports inspect) or tempfile; only the emitters'
-    # display rounding needs decimal, and only import-rapex builds paths with pathlib.
-    expected = [*(["decimal"] if "emit" in layers else []), *(["pathlib"] if "rapex" in layers else [])]
+    # No command imports dataclasses (which imports inspect) or tempfile; only a threshold
+    # option, read exactly, needs decimal, and only import-rapex builds paths with pathlib.
+    thresholds = {"--dominant-ratio", "--reactive-ratio", "--key-threshold"}
+    expected = [*(["decimal"] if thresholds & {*argv} else []), *(["pathlib"] if "rapex" in layers else [])]
     assert stdlib.split() == ["stdlib:", *expected]
 
 

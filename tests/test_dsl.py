@@ -2,7 +2,7 @@ import random
 import re
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -208,6 +208,7 @@ def test_names_with_quotes_and_backslashes_round_trip():
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_round_trip_property(chain_set):
     text = serialize_document(chain_set)
     reparsed, diagnostics = parse_document(text)

@@ -1,7 +1,10 @@
 import csv
 import io
 import re
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -11,8 +14,8 @@ from keyfactors.analysis import AnalysisConfig, analyze
 from keyfactors.emit import (
     export_dot,
     export_matrix_csv,
+    REPORT_COLUMNS,
     export_report_csv,
-    format_display,
     render_scatter_svg,
     x_pixel,
     y_pixel,
@@ -69,6 +72,7 @@ def test_matrix_csv_quotes_awkward_names():
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_matrix_csv_round_trips_counts_and_sums(chain_set):
     m, table, text = matrix_csv_for(chain_set)
     labels, counts, active, passive = read_matrix_csv(text)
@@ -159,9 +163,77 @@ def test_report_csv_empty_and_row_count():
     assert [row["id"] for row in rows] == ["1", "2", "3"]
 
 
+def reference_display(value):
+    """Oracle: a float norm's one-decimal text, rounded half up through Decimal(repr(float))."""
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
+def reference_report_csv(scores):
+    """Oracle: the report written one row at a time, its norms rounded from the floats."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    for score in sorted(scores, key=lambda s: s.factor.id):
+        writer.writerow(
+            [
+                score.factor.id,
+                score.factor.category.value,
+                score.factor.display_name,
+                score.active_sum,
+                reference_display(score.active_norm),
+                score.active_rank,
+                score.passive_sum,
+                reference_display(score.passive_norm),
+                score.passive_rank,
+                score.region.value,
+                "true" if score.key else "false",
+            ]
+        )
+    return buffer.getvalue()
+
+
+CONFIGS = [AnalysisConfig(), AnalysisConfig(Decimal("1.5"), Decimal("0.8"), Decimal("100")), AnalysisConfig(4, 0.25, 0)]
+
+
+@st.composite
+def sums_tables(draw):
+    """Tables of 0-40 factors in any id order: peaks up to 10**9, all-zero axes, ties, awkward names."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    names = draw(st.lists(label_texts, min_size=n, max_size=n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    columns = []
+    for _ in range(2):
+        peak = draw(st.sampled_from([0, 1, 7, 400, 10**9]) | st.integers(min_value=0, max_value=10**9))
+        pool = st.sampled_from([0, peak, peak // 2, peak // 3]) | st.integers(min_value=0, max_value=peak)
+        columns.append(tuple(draw(st.lists(pool, min_size=n, max_size=n))))
+    categories = draw(st.lists(st.sampled_from(C), min_size=n, max_size=n))
+    factors = tuple(Factor(category, name, name, i) for category, name, i in zip(categories, names, ids))
+    return SumsTable(factors, *columns)
+
+
+@given(sums_tables(), st.sampled_from(CONFIGS))
+@example(SumsTable((), (), ()), AnalysisConfig())
+@example(SumsTable(_factors("a", "b"), (0, 0), (0, 0)), AnalysisConfig())
+@example(SumsTable(_factors('x, "y"\r\n', "ä日"), (49, 400), (1, 80)), AnalysisConfig())
+def test_report_csv_is_byte_identical_to_the_per_row_writer(table, cfg):
+    scores = analyze(table, cfg)
+    assert export_report_csv(scores) == reference_report_csv(scores)
+
+
+def test_report_csv_refuses_scores_without_an_axis_top_factor():
+    scores = analyze(SumsTable(_factors("a", "b", "c"), (8, 3, 0), (1, 6, 2)))
+    # a holds the active top and b the passive top; c is in neither.
+    for subset in (scores[1:], (scores[0], scores[2]), scores[2:]):
+        with pytest.raises(ValueError, match="top factor"):
+            export_report_csv(subset)
+    whole = export_report_csv(scores)
+    assert whole.splitlines()[:3] == export_report_csv(scores[:2]).splitlines()
+    assert export_report_csv(scores[::-1]) == whole
+
+
 @st.composite
 def sums_and_peaks(draw):
-    peak = draw(st.integers(min_value=1, max_value=1200))
+    peak = draw(st.integers(min_value=1, max_value=10**12))
     return draw(st.integers(min_value=0, max_value=peak)), peak
 
 
@@ -175,7 +247,12 @@ def test_format_display_matches_rational_half_up_rounding(sum_and_peak):
     s, peak = sum_and_peak
     # Tenths of 100 * s / peak, rounded half up: floor(1000 * s / peak + 1/2).
     tenths = int(Fraction(1000 * s, peak) + Fraction(1, 2))
-    assert format_display(100.0 * s / peak) == f"{tenths // 10}.{tenths % 10}"
+    expected = f"{tenths // 10}.{tenths % 10}"
+    # The report's norm text: s on each axis of one factor, the peak on each axis of the other.
+    report = export_report_csv(analyze(SumsTable(_factors("s", "m"), (s, peak), (s, peak))))
+    rows = list(csv.DictReader(io.StringIO(report)))
+    assert (rows[0]["active_norm"], rows[0]["passive_norm"]) == (expected, expected)
+    assert (rows[1]["active_norm"], rows[1]["passive_norm"]) == ("100.0", "100.0")
 
 
 def test_scatter_svg_marker_positions_and_counts():
@@ -263,6 +340,7 @@ def test_dot_escapes_quotes_in_names():
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_all_emitters_are_deterministic(chain_set):
     m = build_matrix(chain_set)
     scores = analyze(chain_set)

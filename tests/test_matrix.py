@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import chain_sets, failure_chains
@@ -181,6 +181,8 @@ def test_merge_with_empty_is_identity():
 
 
 @given(chain_sets(), chain_sets())
+@example(ChainSet(), ChainSet())
+@example(ChainSet(), ChainSet((ABH,)))
 def test_merge_equals_build_of_concatenation(s1, s2):
     merged = merge(build_matrix(s1), build_matrix(s2))
     combined = build_matrix(ChainSet(s1.chains + s2.chains))
@@ -188,6 +190,8 @@ def test_merge_equals_build_of_concatenation(s1, s2):
 
 
 @given(chain_sets(), chain_sets())
+@example(ChainSet(), ChainSet())
+@example(ChainSet(), ChainSet((ABH,)))
 def test_merge_total_is_additive_and_commutative_up_to_order(s1, s2):
     a, b = build_matrix(s1), build_matrix(s2)
     ab, ba = merge(a, b), merge(b, a)
@@ -197,6 +201,8 @@ def test_merge_total_is_additive_and_commutative_up_to_order(s1, s2):
 
 
 @given(chain_sets(), chain_sets(), chain_sets())
+@example(ChainSet(), ChainSet(), ChainSet())
+@example(ChainSet((ABH,)), ChainSet(), ChainSet((ABH,)))
 def test_merge_is_associative_up_to_order(s1, s2, s3):
     a, b, c = (build_matrix(s) for s in (s1, s2, s3))
     left = merge(merge(a, b), c)
@@ -205,11 +211,13 @@ def test_merge_is_associative_up_to_order(s1, s2, s3):
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_oracle_equivalence(chain_set):
     assert sums(chain_set) == sums(build_matrix(chain_set)) == brute_force_sums(chain_set)
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_conservation(chain_set):
     table = sums(build_matrix(chain_set))
     expected = sum(len(chain) - 1 for chain in chain_set)
@@ -218,6 +226,7 @@ def test_conservation(chain_set):
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_harm_factors_have_zero_active_sum(chain_set):
     table = sums(build_matrix(chain_set))
     for factor, active in zip(table.factors, table.active):
@@ -226,6 +235,7 @@ def test_harm_factors_have_zero_active_sum(chain_set):
 
 
 @given(chain_sets())
+@example(ChainSet())
 def test_appending_a_chain_never_decreases_cells(chain_set):
     base = cells_by_identity(build_matrix(chain_set))
     extended = cells_by_identity(build_matrix(ChainSet(chain_set.chains + (ABH,))))
@@ -295,6 +305,7 @@ def test_build_accepts_exactly_the_chains_validate_accepts(chain, mode):
     st.integers(min_value=0, max_value=5),
     st.none() | st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=8)),
 )
+@example(chain_set=ChainSet(), index=0, other=None)
 def test_the_whole_set_check_rejects_exactly_the_invalid_chains(mode, chain_set, index, other):
     # One chain is corrupted by ``mode``; ``other`` may corrupt a second one.
     # Each mode gets its own examples, so a set whose only bad chain is one
