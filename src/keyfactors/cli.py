@@ -15,7 +15,12 @@ standard output closed early (``keyfactors matrix ... | head``) ends the
 run quietly with exit 2. Without -o, output goes to standard output;
 file writes are atomic (temp file plus rename), so rerunning with
 unchanged inputs rewrites identical bytes. A rewritten file keeps its
-permission bits; a new one gets the mode open() would give it.
+permission bits; a new one gets the mode open() would give it. A failed
+write names the -o path, not the temp file.
+
+Each handler runs straight through (read, compute, render, write) and
+returns nothing; a command that cannot go on raises _Exit(code, message).
+Only main turns that into an exit code, after printing the message.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
 never load the matrix, analysis or emit layers, and `matrix` and `dot`
@@ -33,7 +38,7 @@ import itertools
 import operator
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
 
@@ -62,20 +67,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.handler(args)
+        args.handler(args)
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         # The reader of stdout has gone. With stdout on devnull, the flush at
         # shutdown cannot fail again (Python docs, signal module, SIGPIPE note).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except _InputError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    except _Exit as exc:
+        if exc.message:
+            print(exc.message, file=sys.stderr)
+        return exc.code
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,45 +187,38 @@ def _number(text: str) -> Decimal:
     return value
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    return 1 if _load_chains(args) is None else 0
+def _cmd_validate(args: argparse.Namespace) -> None:
+    _load_chains(args)
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> None:
     from keyfactors.emit import export_matrix_csv
     from keyfactors.matrix import build_matrix
 
-    chains = _load_chains(args)
-    if chains is None:
-        return 1
-    _write_output(export_matrix_csv(build_matrix(chains)), args.output)
-    return 0
+    _write_output(export_matrix_csv(build_matrix(_load_chains(args))), args.output)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     from keyfactors.emit import export_report_csv
 
-    return _write_scores(args, lambda scores, _: export_report_csv(scores))
+    scores, _ = _scores(args)
+    _write_output(export_report_csv(scores), args.output)
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(args: argparse.Namespace) -> None:
     from keyfactors.emit import render_scatter_svg
 
-    return _write_scores(args, render_scatter_svg)
+    _write_output(render_scatter_svg(*_scores(args)), args.output)
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
+def _cmd_dot(args: argparse.Namespace) -> None:
     from keyfactors.emit import export_dot
     from keyfactors.matrix import build_matrix
 
-    chains = _load_chains(args)
-    if chains is None:
-        return 1
-    _write_output(export_dot(build_matrix(chains)), args.output)
-    return 0
+    _write_output(export_dot(build_matrix(_load_chains(args))), args.output)
 
 
-def _cmd_import_rapex(args: argparse.Namespace) -> int:
+def _cmd_import_rapex(args: argparse.Namespace) -> None:
     from pathlib import Path
 
     from keyfactors.rapex import MalformedRecordError, import_rapex, parse_alert_records
@@ -228,26 +227,22 @@ def _cmd_import_rapex(args: argparse.Namespace) -> int:
     fields = {key: getattr(args, f"field_{key}") for key in DEFAULT_FIELDS}
     try:
         records = parse_alert_records(text, fields)
-    except MalformedRecordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
-        raise _InputError(f"error: {exc}") from None
+        raise _Exit(1 if isinstance(exc, MalformedRecordError) else 2, f"error: {exc}") from None
     files, warnings = import_rapex(records)
     _write_lines(f"{args.alerts}:record {w.line}: warning: {w.message}\n" for w in warnings)
     if args.strict and warnings:
-        return 1
+        raise _Exit(1)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, document in files:
         path = str(out_dir / name)
         _write_atomic(path, document)
         print(path)
-    return 0
 
 
-def _write_scores(args: argparse.Namespace, render: Callable[[tuple[FactorScore, ...], AnalysisConfig], str]) -> int:
-    """Score the chain files or the sums table, then write what render makes of the scores."""
+def _scores(args: argparse.Namespace) -> tuple[tuple[FactorScore, ...], AnalysisConfig]:
+    """Score the chain files or the sums table; the scores and the thresholds they were scored with."""
     from keyfactors.analysis import AnalysisConfig, analyze
 
     try:
@@ -255,39 +250,23 @@ def _write_scores(args: argparse.Namespace, render: Callable[[tuple[FactorScore,
             **{name: value for name in AnalysisConfig._fields if (value := getattr(args, name)) is not None}
         )
     except ValueError as exc:
-        raise _InputError(f"error: {exc}") from None
+        raise _Exit(2, f"error: {exc}") from None
     if args.from_sums and args.files:
-        return _usage_error(args, "--from-sums cannot be combined with chain files", code=2)
-    if args.from_sums:
-        data, warnings = _read_sums_csv(args.from_sums)
-        if data.total_active() != data.total_passive():
-            warnings.append(
-                f"{args.from_sums}: warning: total active sum {data.total_active()} "
-                f"!= total passive sum {data.total_passive()}"
-            )
-        _write_lines(f"{warning}\n" for warning in warnings)
-        if args.strict and warnings:
-            return 1
-    else:
-        data = _load_chains(args)
-        if data is None:
-            return 1
-    _write_output(render(analyze(data, cfg), cfg), args.output)
-    return 0
+        raise _usage_error(args, "--from-sums cannot be combined with chain files", code=2)
+    return analyze(_read_sums(args) if args.from_sums else _load_chains(args), cfg), cfg
 
 
-def _load_chains(args: argparse.Namespace) -> ChainSet | None:
+def _load_chains(args: argparse.Namespace) -> ChainSet:
     """Parse every input file into one combined chain set.
 
-    Prints diagnostics as they are found; returns None when any error
+    Prints diagnostics as they are found; raises _Exit(1) when any error
     (or, under --strict, any warning) occurred. A file given twice, by
     the same or another path, is read and counted twice, with a warning.
     """
     from keyfactors.dsl import Severity, parse_document
 
     if not args.files:
-        _usage_error(args, "at least one chain file is required")
-        return None
+        raise _usage_error(args, "at least one chain file is required")
     failed = False
     combined: list = []
     first_paths: dict[tuple[int, int], str] = {}
@@ -308,7 +287,7 @@ def _load_chains(args: argparse.Namespace) -> ChainSet | None:
             failed = True
         combined.extend(chain_set)
     if failed:
-        return None
+        raise _Exit(1)
     return ChainSet(combined)
 
 
@@ -324,14 +303,15 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stderr.write(chunk)
 
 
-def _usage_error(args: argparse.Namespace, message: str, code: int = 1) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    print(args.parser.format_usage(), end="", file=sys.stderr)
-    return code
+def _usage_error(args: argparse.Namespace, message: str, code: int = 1) -> _Exit:
+    return _Exit(code, f"error: {message}\n{args.parser.format_usage()}".removesuffix("\n"))
 
 
-class _InputError(Exception):
-    """An input file or option value the program cannot use: exit 2 after the message line."""
+class _Exit(Exception):
+    """Ends a command with an exit code; main prints the message, if any, on stderr first."""
+
+    def __init__(self, code: int, message: str = "") -> None:
+        self.code, self.message = code, message
 
 
 def _read_text(path: str) -> str:
@@ -350,19 +330,22 @@ def _read_text(path: str) -> str:
             # Lines as text mode reads them (universal newlines), columns in characters.
             text = data[: exc.start].decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
             line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
-            raise _InputError(f"{path}:{line}:{column}: error: not UTF-8 (byte 0x{data[exc.start]:02X})") from None
+            raise _Exit(2, f"{path}:{line}:{column}: error: not UTF-8 (byte 0x{data[exc.start]:02X})") from None
         raise
 
 
-def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
-    """Load a published sums table (id, category, name, active_sum, passive_sum).
+def _read_sums(args: argparse.Namespace) -> SumsTable:
+    """Load the published sums table (id, category, name, active_sum, passive_sum) that --from-sums names.
 
-    Returns the table and its warnings: a row of empty cells, such as the
-    ``,,,,`` a spreadsheet writes below its data, is skipped with one. A
-    header that names one of the five columns twice is refused.
+    Prints its warnings once the whole table is read; raises _Exit(1) if
+    there are any under --strict. A row of empty cells, such as the ``,,,,``
+    a spreadsheet writes below its data, is skipped with one; a harm with a
+    nonzero active sum, and totals that differ, get one each. A header that
+    names one of the five columns twice is refused.
     """
     from keyfactors.matrix import SumsTable
 
+    path = args.from_sums
     reader = csv.reader(io.StringIO(_read_text(path)))
     header = [cell.strip() for cell in next(filter(None, reader), [])]
     missing = [c for c in SUMS_COLUMNS if c not in header]
@@ -370,10 +353,10 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
         hint = ""
         if set(SUMS_COLUMNS) <= {part.strip() for part in ",".join(header).split(";")}:
             hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
-        raise _InputError(f"error: {path}: missing columns: {', '.join(missing)}{hint}")
+        raise _Exit(2, f"error: {path}: missing columns: {', '.join(missing)}{hint}")
     for column in SUMS_COLUMNS:
         if header.count(column) > 1:
-            raise _InputError(f"error: {path}: line {reader.line_num}: column {column!r} appears twice")
+            raise _Exit(2, f"error: {path}: line {reader.line_num}: column {column!r} appears twice")
     pick = operator.itemgetter(*map(header.index, SUMS_COLUMNS))
     warnings: list[str] = []
     factors: list[Factor] = []
@@ -388,40 +371,49 @@ def _read_sums_csv(path: str) -> tuple[SumsTable, list[str]]:
                 warnings.append(f"{where}: warning: empty row skipped")
             continue
         if len(cells) != len(header):
-            raise _InputError(f"error: {where}: {len(cells)} cells, but the header has {len(header)}")
+            raise _Exit(2, f"error: {where}: {len(cells)} cells, but the header has {len(header)}")
         id_text, category_text, name, active_text, passive_text = pick(cells)
         factor_id, active_sum, passive_sum = (
             _whole_number(where, column, text)
             for column, text in (("id", id_text), ("active_sum", active_text), ("passive_sum", passive_text))
         )
         if factor_id == 0:
-            raise _InputError(f"error: {where}: id must be positive")
+            raise _Exit(2, f"error: {where}: id must be positive")
         try:
             category = FactorCategory.parse(category_text)
             key = normalize_name(name)
         except ValueError as exc:
-            raise _InputError(f"error: {where}: {exc}") from None
+            raise _Exit(2, f"error: {where}: {exc}") from None
         if factor_id in seen_ids:
-            raise _InputError(f"error: {where}: duplicate id {factor_id}")
+            raise _Exit(2, f"error: {where}: duplicate id {factor_id}")
         if (category, key) in seen_identities:
-            raise _InputError(f"error: {where}: duplicate factor {name!r}")
+            raise _Exit(2, f"error: {where}: duplicate factor {name!r}")
         seen_ids.add(factor_id)
         seen_identities.add((category, key))
+        if category is FactorCategory.HARM and active_sum:
+            warnings.append(
+                f"{where}: warning: harm {name.strip()!r} has active sum {active_sum}; a harm ends every chain"
+            )
         factors.append(Factor(category, name.strip(), key, factor_id))
         active.append(active_sum)
         passive.append(passive_sum)
-    return SumsTable(tuple(factors), tuple(active), tuple(passive)), warnings
+    if sum(active) != sum(passive):
+        warnings.append(f"{path}: warning: total active sum {sum(active)} != total passive sum {sum(passive)}")
+    _write_lines(f"{warning}\n" for warning in warnings)
+    if args.strict and warnings:
+        raise _Exit(1)
+    return SumsTable(tuple(factors), tuple(active), tuple(passive))
 
 
 def _whole_number(where: str, column: str, text: str) -> int:
     """A cell in ASCII digits, blanks around it stripped; int() alone would take 1_2 or other scripts' digits."""
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
-        raise _InputError(f"error: {where}: {column} {text!r} is not a whole number")
+        raise _Exit(2, f"error: {where}: {column} {text!r} is not a whole number")
     try:
         return int(text)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise _InputError(f"error: {where}: {column} has {len(text)} digits, too many to read") from None
+        raise _Exit(2, f"error: {where}: {column} has {len(text)} digits, too many to read") from None
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -440,17 +432,20 @@ def _write_atomic(path: str, text: str) -> None:
     # O_EXCL on a random name follows no symlink and reuses no file; the
     # kernel applies the umask (or a default ACL) to 0o666, as open() does.
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its bits
-                os.fchmod(fd, os.stat(path).st_mode & 0o777)
-            _write_text(handle, text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its bits
+                    os.fchmod(fd, os.stat(path).st_mode & 0o777)
+                _write_text(handle, text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # reported under the path asked for, not the temp file's
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 if __name__ == "__main__":

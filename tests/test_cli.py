@@ -86,10 +86,14 @@ def test_matrix_three_step_chain_yields_two_transitions(tmp_path):
     assert transitions == 2
 
 
-def test_matrix_empty_input_list_exits_one_with_usage(capsys):
+def test_matrix_empty_input_list_exits_one_with_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal's width
     assert main(["matrix"]) == 1
-    captured = capsys.readouterr()
-    assert "usage:" in captured.err
+    assert capsys.readouterr() == (
+        "",
+        "error: at least one chain file is required\n"
+        "usage: keyfactors matrix [-h] [--strict] [-o OUT] [FILE ...]\n",
+    )
 
 
 def test_matrix_writes_to_stdout_without_output_flag(capsys):
@@ -125,10 +129,19 @@ def test_analyze_key_threshold_override(tmp_path):
     assert all(row["key"] == "false" for row in rows)
 
 
-def test_analyze_rejects_sums_plus_chain_files(capsys):
+ANALYZE_USAGE = (
+    "usage: keyfactors analyze [-h] [--from-sums CSV] [--strict] [-o OUT]\n"
+    "                          [--dominant-ratio R] [--reactive-ratio R]\n"
+    "                          [--key-threshold T]\n"
+    "                          [FILE ...]\n"
+)
+
+
+def test_analyze_rejects_sums_plus_chain_files(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(["analyze", "--from-sums", str(DATA / "table1_as_printed.csv"), CHAIN_FILES[0]])
     assert code == 2
-    assert "--from-sums" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: --from-sums cannot be combined with chain files\n" + ANALYZE_USAGE)
 
 
 def test_analyze_rejects_bad_ratio_combination(capsys):
@@ -202,6 +215,19 @@ def test_analyze_from_sums_warns_when_totals_do_not_conserve(tmp_path, capsys):
     assert not (tmp_path / "strict.csv").exists()
 
 
+def test_analyze_from_sums_warns_of_a_harm_with_an_active_sum(tmp_path, capsys):
+    # Chains end at a harm, so no table made from chains gives a harm an active sum.
+    sums_path = write(
+        tmp_path, "sums.csv", "id,category,name,active_sum,passive_sum\n1,harm,a,3,0\n2,component,b,0,3\n"
+    )
+    warning = f"{sums_path}: line 2: warning: harm 'a' has active sum 3; a harm ends every chain\n"
+    assert main(["analyze", "--from-sums", sums_path, "-o", str(tmp_path / "report.csv")]) == 0
+    assert capsys.readouterr().err == warning
+    assert main(["analyze", "--strict", "--from-sums", sums_path, "-o", str(tmp_path / "strict.csv")]) == 1
+    assert capsys.readouterr().err == warning
+    assert not (tmp_path / "strict.csv").exists()
+
+
 def test_analyze_reads_chain_file_with_byte_order_mark(tmp_path, capsys):
     text = Path(CHAIN_FILES[0]).read_text(encoding="utf-8")
     bom_path = write(tmp_path, "bom.chains", "\ufeff" + text)
@@ -265,9 +291,17 @@ def test_new_and_rewritten_output_files_make_no_umask_call(tmp_path, monkeypatch
 
 
 def test_output_into_a_missing_directory_exits_two_and_writes_nothing(tmp_path, capsys):
-    assert main(["matrix", CHAIN_FILES[0], "-o", str(tmp_path / "newdir") + "/"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert list(tmp_path.iterdir()) == []
+    # The error names the output as given, not the temp file beside it.
+    for output in (str(tmp_path / "newdir") + "/", str(tmp_path / "missing" / "m.csv")):
+        assert main(["matrix", CHAIN_FILES[0], "-o", output]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{output}'\n"
+        assert list(tmp_path.iterdir()) == []
+    # An existing directory is refused at the rename; its temp file goes.
+    directory = tmp_path / "d"
+    directory.mkdir()
+    assert main(["matrix", CHAIN_FILES[0], "-o", str(directory)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and list(directory.iterdir()) == []
 
 
 def test_analyze_rejects_malformed_sums_csv(tmp_path, capsys):
@@ -299,9 +333,10 @@ def test_sums_categories_are_read_in_any_documented_spelling(tmp_path, capsys):
     assert [row["category"] for row in rows] == ["control", "control", "noise", "harm"]
 
 
-def test_analyze_without_any_input_exits_one(capsys):
+def test_analyze_without_any_input_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     assert main(["analyze"]) == 1
-    assert "usage:" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: at least one chain file is required\n" + ANALYZE_USAGE)
 
 
 def test_plot_from_sums_has_one_marker_per_factor(tmp_path):
@@ -411,7 +446,8 @@ def test_import_rapex_empty_list(tmp_path, capsys):
 def test_import_rapex_malformed_record_exits_one(tmp_path, capsys):
     alerts = write(tmp_path, "alerts.json", json.dumps([{"alertNumber": "A1"}, {"product": "x"}]))
     assert main(["import-rapex", alerts, "-d", str(tmp_path / "out")]) == 1
-    assert "record 2" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: record 2: missing or empty field 'alertNumber'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["alerts.json"]
 
 
 def test_import_rapex_lone_surrogate_exits_one_and_writes_nothing(tmp_path, capsys):
@@ -438,6 +474,12 @@ def test_write_atomic_removes_its_temp_file_on_any_error(tmp_path):
 def test_import_rapex_invalid_json_exits_two(tmp_path, capsys):
     alerts = write(tmp_path, "alerts.json", "{not json")
     assert main(["import-rapex", alerts, "-d", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: alert file is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n",
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["alerts.json"]
 
 
 def test_import_rapex_duplicate_pair_warns(tmp_path, capsys):
@@ -544,16 +586,20 @@ def test_output_digests_script_prints_the_same_lines_twice():
     assert skeletons and all(stream.startswith("skeletons/") for stream in skeletons)
 
 
-def test_generated_factors_wide_corpus_prints_the_committed_digests(tmp_path):
-    # Criterion 8 beyond the fixtures: the seed-11 factors-wide corpus of the
-    # benchmark (1,456 factors), whose report rows are the widest it prints.
+@pytest.mark.parametrize("workload", ["factors-wide", "intake"])
+def test_generated_corpora_print_the_committed_digests(tmp_path, workload):
+    # Criterion 8 beyond the fixtures, on two seed-11 corpora of the benchmark:
+    # factors-wide (1,456 factors), whose report rows are the widest it prints,
+    # and intake, whose injected defects send every chain command down its
+    # failure path, with diagnostics.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    gen = [sys.executable, str(ROOT / "bench" / "gen.py"), "--workload", "factors-wide", "--seed", "11"]
+    gen = [sys.executable, str(ROOT / "bench" / "gen.py"), "--workload", workload, "--seed", "11"]
     subprocess.run([*gen, "--out", str(tmp_path)], env=env, check=True, capture_output=True, timeout=300)
     script = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), str(tmp_path)]
     result = subprocess.run(script, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (ROOT / "tests" / "data" / "factors_wide_seed11_digests.txt").read_text(encoding="utf-8")
+    digests = ROOT / "tests" / "data" / f"{workload.replace('-', '_')}_seed11_digests.txt"
+    assert result.stdout == digests.read_text(encoding="utf-8")
 
 
 # Prints the keyfactors modules loaded after running the CLI on its arguments,
