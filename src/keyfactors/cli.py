@@ -12,8 +12,9 @@ Commands::
 
 Exit codes: 0 success, 1 validation/content error, 2 IO/format error. A
 standard output closed early (``keyfactors matrix ... | head``) ends the
-run quietly with exit 2. Without -o, output goes to standard output;
-file writes are atomic (temp file plus rename), so rerunning with
+run quietly with exit 2. Without -o, output goes to standard output,
+as UTF-8 whatever its encoding; -o is opened before any input is read.
+File writes are atomic (temp file plus rename), so rerunning with
 unchanged inputs rewrites identical bytes. A rewritten file keeps its
 permission bits; a new one gets the mode open() would give it. A failed
 write names the -o path, not the temp file.
@@ -33,12 +34,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
+import functools
 import io
 import itertools
 import operator
 import os
+import stat
 import sys
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
 
@@ -53,8 +57,8 @@ SUMS_COLUMNS = ["id", "category", "name", "active_sum", "passive_sum"]
 # Lines per write of a diagnostics stream: few system calls, while only one
 # chunk of a long stream is held as text at a time.
 _LINES_PER_WRITE = 1000
-# Characters per write of an output text, so that TextIOWrapper never
-# encodes a whole multi-megabyte output into one bytes object.
+# Characters per write of an output text, so that a multi-megabyte output is
+# never encoded into one bytes object.
 _CHARS_PER_WRITE = 1 << 18
 # Each threshold option and its metavar.
 _THRESHOLDS = {"--dominant-ratio": "R", "--reactive-ratio": "R", "--key-threshold": "T"}
@@ -91,43 +95,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", help="check chain documents and print diagnostics")
-    p_validate.add_argument("files", nargs="*", metavar="FILE")
-    _add_strict(p_validate)
-    p_validate.set_defaults(handler=_cmd_validate, parser=p_validate)
-
-    p_matrix = sub.add_parser("matrix", help="write the relationship matrix CSV")
-    p_matrix.add_argument("files", nargs="*", metavar="FILE")
-    _add_strict(p_matrix)
-    _add_output(p_matrix)
-    p_matrix.set_defaults(handler=_cmd_matrix, parser=p_matrix)
-
-    p_analyze = sub.add_parser("analyze", help="write the per-factor score report CSV")
-    p_analyze.add_argument("files", nargs="*", metavar="FILE")
-    p_analyze.add_argument("--from-sums", metavar="CSV", help="read precomputed sums instead of chains")
-    _add_strict(p_analyze)
-    _add_output(p_analyze)
-    _add_analysis_overrides(p_analyze)
-    p_analyze.set_defaults(handler=_cmd_analyze, parser=p_analyze)
-
-    p_plot = sub.add_parser("plot", help="write the active-passive scatter SVG")
-    p_plot.add_argument("files", nargs="*", metavar="FILE")
-    p_plot.add_argument("--from-sums", metavar="CSV", help="read precomputed sums instead of chains")
-    _add_strict(p_plot)
-    _add_output(p_plot)
-    _add_analysis_overrides(p_plot)
-    p_plot.set_defaults(handler=_cmd_plot, parser=p_plot)
-
-    p_dot = sub.add_parser("dot", help="write the failure network as a DOT graph")
-    p_dot.add_argument("files", nargs="*", metavar="FILE")
-    _add_strict(p_dot)
-    _add_output(p_dot)
-    p_dot.set_defaults(handler=_cmd_dot, parser=p_dot)
+    for name, help_text, handler, writes, scores in (
+        ("validate", "check chain documents and print diagnostics", _cmd_validate, False, False),
+        ("matrix", "write the relationship matrix CSV", _cmd_matrix, True, False),
+        ("analyze", "write the per-factor score report CSV", _cmd_analyze, True, True),
+        ("plot", "write the active-passive scatter SVG", _cmd_plot, True, True),
+        ("dot", "write the failure network as a DOT graph", _cmd_dot, True, False),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("files", nargs="*", metavar="FILE")
+        if scores:
+            command.add_argument("--from-sums", metavar="CSV", help="read precomputed sums instead of chains")
+        command.add_argument("--strict", action="store_true", help="treat warnings as errors")
+        if writes:
+            command.add_argument("-o", "--output", metavar="OUT", help="output file (default: stdout)")
+        if scores:
+            # No defaults here: an option left out takes AnalysisConfig's.
+            for option, metavar in _THRESHOLDS.items():
+                command.add_argument(option, type=_number, metavar=metavar)
+        command.set_defaults(handler=handler, parser=command)
 
     p_import = sub.add_parser("import-rapex", help="turn alert records into skeleton chain files")
     p_import.add_argument("alerts", metavar="ALERTS_JSON")
     p_import.add_argument("-d", "--out-dir", required=True, metavar="DIR")
-    _add_strict(p_import)
+    p_import.add_argument("--strict", action="store_true", help="treat warnings as errors")
     for key, default in DEFAULT_FIELDS.items():
         p_import.add_argument(
             f"--field-{key}",
@@ -139,20 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_import.set_defaults(handler=_cmd_import_rapex, parser=p_import)
 
     return parser
-
-
-def _add_strict(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-o", "--output", metavar="OUT", help="output file (default: stdout)")
-
-
-def _add_analysis_overrides(parser: argparse.ArgumentParser) -> None:
-    # No defaults here: an option left out takes AnalysisConfig's.
-    for option, metavar in _THRESHOLDS.items():
-        parser.add_argument(option, type=_number, metavar=metavar)
 
 
 def _join_thresholds(argv: list[str]) -> list[str]:
@@ -195,27 +172,30 @@ def _cmd_matrix(args: argparse.Namespace) -> None:
     from keyfactors.emit import export_matrix_csv
     from keyfactors.matrix import build_matrix
 
-    _write_output(export_matrix_csv(build_matrix(_load_chains(args))), args.output)
+    with _output(args.output) as write:
+        write(export_matrix_csv(build_matrix(_load_chains(args))))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     from keyfactors.emit import export_report_csv
 
-    scores, _ = _scores(args)
-    _write_output(export_report_csv(scores), args.output)
+    with _output(args.output) as write:
+        write(export_report_csv(_scores(args)[0]))
 
 
 def _cmd_plot(args: argparse.Namespace) -> None:
     from keyfactors.emit import render_scatter_svg
 
-    _write_output(render_scatter_svg(*_scores(args)), args.output)
+    with _output(args.output) as write:
+        write(render_scatter_svg(*_scores(args)))
 
 
 def _cmd_dot(args: argparse.Namespace) -> None:
     from keyfactors.emit import export_dot
     from keyfactors.matrix import build_matrix
 
-    _write_output(export_dot(build_matrix(_load_chains(args))), args.output)
+    with _output(args.output) as write:
+        write(export_dot(build_matrix(_load_chains(args))))
 
 
 def _cmd_import_rapex(args: argparse.Namespace) -> None:
@@ -223,6 +203,9 @@ def _cmd_import_rapex(args: argparse.Namespace) -> None:
 
     from keyfactors.rapex import MalformedRecordError, import_rapex, parse_alert_records
 
+    with contextlib.suppress(FileNotFoundError):  # -d is checked before the records are read, made after
+        if not stat.S_ISDIR(os.stat(args.out_dir).st_mode):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out_dir)
     text = _read_text(args.alerts)
     fields = {key: getattr(args, f"field_{key}") for key in DEFAULT_FIELDS}
     try:
@@ -237,7 +220,8 @@ def _cmd_import_rapex(args: argparse.Namespace) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, document in files:
         path = str(out_dir / name)
-        _write_atomic(path, document)
+        with _output(path) as write:
+            write(document)
         print(path)
 
 
@@ -272,8 +256,8 @@ def _load_chains(args: argparse.Namespace) -> ChainSet:
     first_paths: dict[tuple[int, int], str] = {}
     for path in args.files:
         text = _read_text(path)
-        stat = os.stat(path)
-        identity = (stat.st_dev, stat.st_ino)
+        info = os.stat(path)
+        identity = (info.st_dev, info.st_ino)
         if identity in first_paths:
             print(f"{path}: warning: same file as {first_paths[identity]}; its chains count again", file=sys.stderr)
             failed |= args.strict
@@ -416,36 +400,55 @@ def _whole_number(where: str, column: str, text: str) -> int:
         raise _Exit(2, f"error: {where}: {column} has {len(text)} digits, too many to read") from None
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        _write_text(sys.stdout, text)
-    else:
-        _write_atomic(output, text)
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[Callable[[str], None]]:
+    """Open an output before the work; yields write(text), which writes the text there as UTF-8.
 
-
-def _write_text(handle: TextIO, text: str) -> None:
-    for start in range(0, len(text), _CHARS_PER_WRITE):
-        handle.write(text[start : start + _CHARS_PER_WRITE])
-
-
-def _write_atomic(path: str, text: str) -> None:
+    The output is stdout, whatever its encoding, or a new temp file beside
+    path that write renames over path; the temp file goes if the block
+    ends otherwise. A directory is refused at once. Errors name path.
+    """
+    if path is None:
+        sys.stdout.flush()
+        buffer = getattr(sys.stdout, "buffer", None)  # a text-only stream (io.StringIO, say) takes the text
+        yield sys.stdout.write if buffer is None else functools.partial(_write_text, buffer)
+        return
     # O_EXCL on a random name follows no symlink and reuses no file; the
     # kernel applies the umask (or a default ACL) to 0o666, as open() does.
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    with _named(path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        handle = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its bits
-                    os.fchmod(fd, os.stat(path).st_mode & 0o777)
-                _write_text(handle, text)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:  # reported under the path asked for, not the temp file's
+        with _named(path), contextlib.suppress(FileNotFoundError):  # a replaced file keeps its bits
+            os.fchmod(handle.fileno(), os.stat(path).st_mode & 0o777)
+
+        def write(text: str) -> None:
+            with _named(path):
+                with handle:
+                    _write_text(handle, text)
+                os.replace(tmp, path)
+
+        yield write
+    finally:
+        handle.close()
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+@contextlib.contextmanager
+def _named(path: str) -> Iterator[None]:
+    """Report an OSError under path, the output asked for, not the temp file beside it."""
+    try:
+        yield
+    except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _write_text(handle: BinaryIO, text: str) -> None:
+    for start in range(0, len(text), _CHARS_PER_WRITE):
+        handle.write(text[start : start + _CHARS_PER_WRITE].encode("utf-8"))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ reads headers and well-formed step lines; on a step line it rejects, the
 fault is placed where the same name pattern stops. The blocks between
 separators are then walked over those kinds, which adds each line's
 number. A block with both headers and no error whose chain
-step_identities accepts is kept, with its warnings; any other block is
+validate_chain accepts is kept, with its warnings; any other block is
 reported from the same kinds, its broken invariants placed on their
 steps' lines after its line diagnostics.
 """
@@ -54,7 +54,6 @@ from keyfactors.model import (
     FailureChain,
     Step,
     _Memo,
-    step_identities,
     validate_chain,
 )
 
@@ -220,10 +219,11 @@ def _read_block(
     if any(d.severity is Severity.ERROR for d in found):
         return None, found
     chain = FailureChain(headers["alert"], headers["case"], tuple(steps))
-    if step_identities(chain) is not None:
+    violations = validate_chain(chain)
+    if not violations:
         return chain, found
     step_lines = [i for i in range(start, end) if type(kinds[i]) is tuple]
-    for violation in validate_chain(chain):
+    for violation in violations:
         if violation.step <= len(step_lines):
             index = step_lines[violation.step - 1]
             lineno, column = index + 1, _column(lines[index])
@@ -257,8 +257,9 @@ def serialize_document(chains: ChainSet) -> str:
     """
     parts: list[str] = []
     for index, chain in enumerate(chains):
-        if step_identities(chain) is None:
-            raise ChainValidationError([(index, validate_chain(chain))])
+        violations = validate_chain(chain)
+        if violations:
+            raise ChainValidationError([(index, violations)])
         for field_name, value in (("alert", chain.source_alert), ("case", chain.case_label)):
             if not value:
                 raise ValueError(f"chain {index}: {field_name} header has no text")

@@ -91,12 +91,6 @@ class SumsTable(
     def __len__(self) -> int:
         return len(self.factors)
 
-    def total_active(self) -> int:
-        return sum(self.active)
-
-    def total_passive(self) -> int:
-        return sum(self.passive)
-
 
 def _ordered_factors(display: dict[Identity, str]) -> tuple[Factor, ...]:
     # Presentation order: category group first, then first appearance.

@@ -102,7 +102,7 @@ class FailureChain(
 
     Construction is permissive so that malformed chains can still be
     inspected; invariants are enforced at the points of use: the parser
-    and serialization check each chain with step_identities, and the
+    and serialization check each chain with validate_chain, and the
     matrix builder checks a whole chain set at once on its factor
     numbers.
     """
@@ -181,49 +181,36 @@ class _Memo(dict):
 _IDENTITIES = _Memo(lambda step: (step[0], normalize_name(step[1])))
 
 
-def step_identities(chain: FailureChain) -> list[Identity] | None:
-    """Each step's identity (category, normalized name), or None for an invalid chain.
+def validate_chain(chain: FailureChain) -> list[Violation]:
+    """Every broken chain invariant, in step order.
 
-    Callers take identities from here, or from the table it reads,
-    instead of normalizing names themselves. The table is keyed by the
-    step (category, raw name), so each distinct step is normalized once
-    per process (until the table holds ``_Memo.limit`` steps and starts
-    over). On the command-line path the parser's check fills the table;
-    build_matrix and sums then look each distinct raw step up in it once
-    and check the whole chain set on the factor numbers, so a bare
-    ChainSet is still validated in full. The check here is cheap and
-    exact: None means validate_chain finds at least one violation (so
-    callers run it only then), a list means it finds none.
-    validate_chain reads the same table.
+    An empty list means the chain is accepted by the matrix builder.
+    Identities (category, normalized name) come from a table keyed by
+    the step (category, raw name), so each distinct step is normalized
+    once per process (until the table holds ``_Memo.limit`` steps and
+    starts over). On the command-line path the parser's calls fill the
+    table; build_matrix and sums then look each distinct raw step up in
+    it once and check the whole chain set on the factor numbers, so a
+    bare ChainSet is still validated in full. A valid chain is accepted
+    by one cheap pass; only a broken one is walked step by step to say
+    why. A blank name has no identity, so the steps around it are not
+    adjacent. MissingHarm is reported only when no step is a harm.
     """
     steps = chain.steps
     try:
         idents = list(map(_IDENTITIES.__getitem__, steps))
     except EmptyNameError:
-        return None
-    categories = [category for category, _ in steps]
-    if (
-        len(steps) < 2
-        or categories[-1] is not FactorCategory.HARM
-        or categories.count(FactorCategory.HARM) != 1
-        or any(map(operator.eq, idents, idents[1:]))
-    ):
-        return None
-    return idents
-
-
-def validate_chain(chain: FailureChain) -> list[Violation]:
-    """Every broken chain invariant, in step order.
-
-    An empty list means the chain is accepted by the matrix builder.
-    Identities come from the table step_identities reads, so a chain it
-    has rejected is explained without normalizing its names again; a
-    blank name has no identity, so the steps around it are not adjacent.
-    MissingHarm is reported only when no step is a harm. Callers ask
-    step_identities first and call this only when it returns None, to say why.
-    """
+        pass
+    else:
+        categories = [category for category, _ in steps]
+        if (
+            len(steps) >= 2
+            and categories[-1] is FactorCategory.HARM
+            and categories.count(FactorCategory.HARM) == 1
+            and not any(map(operator.eq, idents, idents[1:]))
+        ):
+            return []
     violations: list[Violation] = []
-    steps = chain.steps
     n = len(steps)
     if n < 2:
         violations.append(

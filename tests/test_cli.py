@@ -32,6 +32,18 @@ class WriteLog(io.StringIO):
         return super().write(text)
 
 
+class ByteWriteLog(io.BytesIO):
+    """A byte stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(len(data))
+        return super().write(data)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -296,12 +308,34 @@ def test_output_into_a_missing_directory_exits_two_and_writes_nothing(tmp_path, 
         assert main(["matrix", CHAIN_FILES[0], "-o", output]) == 2
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{output}'\n"
         assert list(tmp_path.iterdir()) == []
-    # An existing directory is refused at the rename; its temp file goes.
+    # An existing directory is refused before any input is read, and no temp file is made.
     directory = tmp_path / "d"
     directory.mkdir()
     assert main(["matrix", CHAIN_FILES[0], "-o", str(directory)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d"] and list(directory.iterdir()) == []
+
+
+def test_a_bad_output_is_reported_before_any_input_is_read(tmp_path, capsys):
+    # The input is not UTF-8, yet only the output's error is printed.
+    path = tmp_path / "cp1252.chains"
+    path.write_bytes('alert: a\ncase: c\ncomponent "Gerät"\nharm "burn"\n'.encode("cp1252"))
+    directory = tmp_path / "d"
+    directory.mkdir()
+    missing = tmp_path / "missing" / "out"
+    for command in ("matrix", "analyze", "plot", "dot"):
+        assert main([command, str(path), "-o", str(directory)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{directory}'\n")
+        assert main([command, str(path), "-o", str(missing)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    # import-rapex checks -d, without making it, before it reads the records.
+    alerts = write(tmp_path, "alerts.json", "{not json")
+    assert main(["import-rapex", alerts, "-d", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{path}'\n")
+    assert main(["import-rapex", alerts, "-d", str(path / "sub")]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 20] Not a directory: '{path / 'sub'}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alerts.json", "cp1252.chains", "d"]
+    assert list(directory.iterdir()) == []
 
 
 def test_analyze_rejects_malformed_sums_csv(tmp_path, capsys):
@@ -467,7 +501,13 @@ def test_import_rapex_refuses_a_risk_with_a_control_character(tmp_path, capsys):
 
 def test_write_atomic_removes_its_temp_file_on_any_error(tmp_path):
     with pytest.raises(UnicodeEncodeError):
-        cli._write_atomic(tmp_path / "out.chains", "burn\ud800")
+        with cli._output(str(tmp_path / "out.chains")) as write:
+            write("burn\ud800")
+    assert list(tmp_path.iterdir()) == []
+    # The temp file opened before the work goes too when the work fails.
+    with pytest.raises(KeyError):
+        with cli._output(str(tmp_path / "out.chains")):
+            raise KeyError
     assert list(tmp_path.iterdir()) == []
 
 
@@ -519,13 +559,32 @@ def test_outputs_are_written_in_slices_that_round_trip(tmp_path, monkeypatch):
     text = "x" * (n - 1) + "é€" + "y" * (n - 2) + "😀ß\n" + "z" * 5
     assert (text[n - 1 : n + 1], text[2 * n - 1 : 2 * n + 1]) == ("é€", "😀ß")
     out = tmp_path / "out.csv"
-    cli._write_output(text, str(out))
+    with cli._output(str(out)) as write:
+        write(text)
     assert out.read_bytes() == text.encode("utf-8")
-    stdout = WriteLog()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    cli._write_output(text, None)
-    assert stdout.getvalue() == text
-    assert stdout.writes == [n, n, len(text) - 2 * n]
+    stdout = ByteWriteLog()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(stdout, encoding="ascii"))
+    with cli._output(None) as write:
+        write(text)
+    assert stdout.getvalue() == text.encode("utf-8")
+    assert stdout.writes == [len(part.encode("utf-8")) for part in (text[:n], text[n : 2 * n], text[2 * n :])]
+    # A stdout with no bytes under it, as under contextlib.redirect_stdout(io.StringIO()), takes the text.
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    with cli._output(None) as write:
+        write(text)
+    assert sys.stdout.getvalue() == text
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_carries_the_bytes_of_the_output_file_whatever_its_encoding(tmp_path, encoding):
+    path = write(tmp_path, "u.chains", 'alert: a\ncase: c\ncomponent "Föhn"\nharm "burn"\n')
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": encoding}
+    for command in ("matrix", "analyze", "plot", "dot"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, path, "-o", str(out)]) == 0
+        result = subprocess.run([sys.executable, "-m", "keyfactors.cli", command, path], env=env, capture_output=True)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == out.read_bytes()
 
 
 def test_import_rapex_custom_field_names(tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from corpus import failure_chains
@@ -15,7 +15,6 @@ from keyfactors.model import (
     FactorCategory,
     FailureChain,
     normalize_name,
-    step_identities,
     validate_chain,
 )
 
@@ -201,12 +200,24 @@ def _mutate_one_step(chain, kind, i):
     st.sampled_from(["keep", "delete", "repeat", "blank", "to_harm", "from_harm", "recategorize"]),
     st.integers(min_value=0, max_value=20),
 )
-def test_early_accept_agrees_with_the_full_check(chain, kind, i):
+@example(chain((C.COMPONENT, "plug"), (C.HARM, "burn")), "delete", 0)  # a lone harm
+@example(chain((C.HARM, "burn"), (C.COMPONENT, "plug")), "keep", 0)  # one harm, not last
+def test_validate_chain_accepts_exactly_the_chains_valid_by_rule(chain, kind, i):
     candidate = _mutate_one_step(chain, kind, i)
-    idents = step_identities(candidate)
-    assert (idents is not None) == (validate_chain(candidate) == [])
-    if idents is not None:
-        assert idents == [(category, normalize_name(name)) for category, name in candidate.steps]
+    assert (validate_chain(candidate) == []) == valid_by_rule(candidate)
+
+
+def valid_by_rule(chain):
+    """The five chain invariants, restated apart from model."""
+    categories = [category for category, _ in chain.steps]
+    keys = [(category, " ".join(name.split()).casefold()) for category, name in chain.steps]
+    return (
+        len(keys) >= 2  # TooShort
+        and all(name for _, name in keys)  # EmptyName
+        and categories[-1] is C.HARM  # MissingHarm
+        and C.HARM not in categories[:-1]  # HarmNotTerminal
+        and all(a != b for a, b in zip(keys, keys[1:]))  # SelfTransition
+    )
 
 
 def test_identity_table_starts_over_when_full(monkeypatch):
@@ -214,11 +225,12 @@ def test_identity_table_starts_over_when_full(monkeypatch):
     table.limit = 3
     monkeypatch.setattr(model, "_IDENTITIES", table)
     steps = ((C.COMPONENT, "A"), (C.EFFECT, "B"), (C.ACTION, "C"), (C.EFFECT, " b "), (C.HARM, "H"))
-    expected = [(category, normalize_name(name)) for category, name in steps]
     for _ in range(2):
-        assert step_identities(chain(*steps)) == expected
-        assert len(model._IDENTITIES) <= 3
-    assert step_identities(chain(*steps[:2], (C.EFFECT, " b "), steps[4])) is None
+        assert validate_chain(chain(*steps)) == []
+        assert 0 < len(model._IDENTITIES) <= 3
+        assert all(ident == (step[0], normalize_name(step[1])) for step, ident in model._IDENTITIES.items())
+    # After the table starts over, B and " b " are still one factor, so side by side they repeat.
+    assert [v.rule for v in validate_chain(chain(*steps[:2], (C.EFFECT, " b "), steps[4]))] == [SELF_TRANSITION]
 
 
 def test_a_rejected_chain_is_explained_without_normalizing_again(monkeypatch):
@@ -227,8 +239,8 @@ def test_a_rejected_chain_is_explained_without_normalizing_again(monkeypatch):
     normalize = model.normalize_name
     monkeypatch.setattr(model, "normalize_name", lambda raw: calls.append(raw) or normalize(raw))
     rejected = chain((C.COMPONENT, "Plug"), (C.COMPONENT, " plug "), (C.HARM, "burn"), (C.ACTION, "pull"))
-    assert step_identities(rejected) is None
-    assert calls == ["Plug", " plug ", "burn", "pull"]
-    calls.clear()
-    assert [v.rule for v in validate_chain(rejected)] == [SELF_TRANSITION, HARM_NOT_TERMINAL]
-    assert calls == []
+    # The quick check normalizes each step once; the walk that explains the chain reads the table.
+    for normalized in (["Plug", " plug ", "burn", "pull"], []):
+        assert [v.rule for v in validate_chain(rejected)] == [SELF_TRANSITION, HARM_NOT_TERMINAL]
+        assert calls == normalized
+        calls.clear()

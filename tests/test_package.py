@@ -51,3 +51,11 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[] True True\n"
+
+
+def test_every_benchmark_check_catches_an_altered_output():
+    # bench/selftest.py runs each check on good outputs, then on each output altered, where it must fail.
+    selftest = [sys.executable, str(ROOT / "bench" / "selftest.py")]
+    result = subprocess.run(selftest, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].endswith(" 0 failures")
