@@ -26,33 +26,31 @@ Only main turns that into an exit code, after printing the message.
 Each handler imports the layers it runs, so `validate` and `import-rapex`
 never load the matrix, analysis or emit layers, and `matrix` and `dot`
 never load analysis; only `import-rapex` loads pathlib, and only a
-threshold option (read exactly, as a Decimal) loads decimal.
+threshold option (read exactly, as a Decimal) loads decimal. The readers
+live with their layers (dsl.parse_document, matrix.parse_sums_table,
+rapex.parse_alert_records); this module reads files and reports what
+they say, so csv is loaded only with the matrix layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import functools
-import io
 import itertools
-import operator
 import os
 import stat
 import sys
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
-from keyfactors.model import DEFAULT_FIELDS, ChainSet, Factor, FactorCategory, normalize_name
+from keyfactors.model import DEFAULT_FIELDS, ChainSet
 
 if TYPE_CHECKING:
     from decimal import Decimal
 
     from keyfactors.analysis import AnalysisConfig, FactorScore
     from keyfactors.matrix import SumsTable
-
-SUMS_COLUMNS = ["id", "category", "name", "active_sum", "passive_sum"]
 
 # Lines per write of a diagnostics stream: few system calls, while only one
 # chunk of a long stream is held as text at a time.
@@ -319,85 +317,19 @@ def _read_text(path: str) -> str:
 
 
 def _read_sums(args: argparse.Namespace) -> SumsTable:
-    """Load the published sums table (id, category, name, active_sum, passive_sum) that --from-sums names.
-
-    Prints its warnings once the whole table is read; raises _Exit(1) if
-    there are any under --strict. A row of empty cells, such as the ``,,,,``
-    a spreadsheet writes below its data, is skipped with one; a harm with a
-    nonzero active sum, and totals that differ, get one each. A header that
-    names one of the five columns twice is refused.
-    """
-    from keyfactors.matrix import SumsTable
+    """Load the sums table that --from-sums names and print its warnings, which --strict refuses with _Exit(1)."""
+    from keyfactors.matrix import parse_sums_table
 
     path = args.from_sums
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    header = [cell.strip() for cell in next(filter(None, reader), [])]
-    missing = [c for c in SUMS_COLUMNS if c not in header]
-    if missing:
-        hint = ""
-        if set(SUMS_COLUMNS) <= {part.strip() for part in ",".join(header).split(";")}:
-            hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
-        raise _Exit(2, f"error: {path}: missing columns: {', '.join(missing)}{hint}")
-    for column in SUMS_COLUMNS:
-        if header.count(column) > 1:
-            raise _Exit(2, f"error: {path}: line {reader.line_num}: column {column!r} appears twice")
-    pick = operator.itemgetter(*map(header.index, SUMS_COLUMNS))
-    warnings: list[str] = []
-    factors: list[Factor] = []
-    active: list[int] = []
-    passive: list[int] = []
-    seen_ids: set[int] = set()
-    seen_identities: set[tuple[FactorCategory, str]] = set()
-    for cells in reader:
-        where = f"{path}: line {reader.line_num}"
-        if not any(map(str.strip, cells)):
-            if cells:
-                warnings.append(f"{where}: warning: empty row skipped")
-            continue
-        if len(cells) != len(header):
-            raise _Exit(2, f"error: {where}: {len(cells)} cells, but the header has {len(header)}")
-        id_text, category_text, name, active_text, passive_text = pick(cells)
-        factor_id, active_sum, passive_sum = (
-            _whole_number(where, column, text)
-            for column, text in (("id", id_text), ("active_sum", active_text), ("passive_sum", passive_text))
-        )
-        if factor_id == 0:
-            raise _Exit(2, f"error: {where}: id must be positive")
-        try:
-            category = FactorCategory.parse(category_text)
-            key = normalize_name(name)
-        except ValueError as exc:
-            raise _Exit(2, f"error: {where}: {exc}") from None
-        if factor_id in seen_ids:
-            raise _Exit(2, f"error: {where}: duplicate id {factor_id}")
-        if (category, key) in seen_identities:
-            raise _Exit(2, f"error: {where}: duplicate factor {name!r}")
-        seen_ids.add(factor_id)
-        seen_identities.add((category, key))
-        if category is FactorCategory.HARM and active_sum:
-            warnings.append(
-                f"{where}: warning: harm {name.strip()!r} has active sum {active_sum}; a harm ends every chain"
-            )
-        factors.append(Factor(category, name.strip(), key, factor_id))
-        active.append(active_sum)
-        passive.append(passive_sum)
-    if sum(active) != sum(passive):
-        warnings.append(f"{path}: warning: total active sum {sum(active)} != total passive sum {sum(passive)}")
-    _write_lines(f"{warning}\n" for warning in warnings)
+    text = _read_text(path)
+    try:
+        table, warnings = parse_sums_table(text)
+    except ValueError as exc:
+        raise _Exit(2, f"error: {path}: {exc}") from None
+    _write_lines(f"{path}: {warning}\n" for warning in warnings)
     if args.strict and warnings:
         raise _Exit(1)
-    return SumsTable(tuple(factors), tuple(active), tuple(passive))
-
-
-def _whole_number(where: str, column: str, text: str) -> int:
-    """A cell in ASCII digits, blanks around it stripped; int() alone would take 1_2 or other scripts' digits."""
-    text = text.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise _Exit(2, f"error: {where}: {column} {text!r} is not a whole number")
-    try:
-        return int(text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise _Exit(2, f"error: {where}: {column} has {len(text)} digits, too many to read") from None
+    return table
 
 
 @contextlib.contextmanager

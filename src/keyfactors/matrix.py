@@ -18,17 +18,22 @@ the chains on those numbers. sums counts a chain set's sums from the same
 numbers without building the matrix. Neither runs Python code per chain
 or per step, only per distinct raw step and per factor.
 
+parse_sums_table reads a published sums table, the CSV that stands in for
+chains whose corpus is not public, into a SumsTable.
+
 RelationshipMatrix and SumsTable are NamedTuples, so they compare equal
 to plain tuples holding the same fields.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from collections import Counter
 from operator import attrgetter, countOf, eq, itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from keyfactors import model
 from keyfactors.model import (
@@ -42,6 +47,8 @@ from keyfactors.model import (
     normalize_name,
     validate_chain,
 )
+
+SUMS_COLUMNS = ["id", "category", "name", "active_sum", "passive_sum"]
 
 
 class RelationshipMatrix(NamedTuple("RelationshipMatrix", [("factors", tuple[Factor, ...]), ("edges", Mapping)])):
@@ -90,6 +97,91 @@ class SumsTable(
 
     def __len__(self) -> int:
         return len(self.factors)
+
+
+def parse_sums_table(text: str) -> tuple[SumsTable, list[str]]:
+    """Read a sums table, a CSV with the SUMS_COLUMNS in any order; the table and its warnings.
+
+    Raises ValueError, naming the line where there is one, for a table that
+    cannot be read, such as one whose header names a column twice. A row of
+    empty cells, such as the ``,,,,`` a spreadsheet writes below its data, is
+    skipped with a warning; a harm with a nonzero active sum, and totals
+    that differ, get one each. Line numbers count the text's lines.
+    """
+    reader = csv.reader(io.StringIO(text))
+
+    def read() -> Iterator[list[str]]:
+        # The csv module's own errors, such as a cell over csv.field_size_limit(), become ValueErrors too.
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+    rows = read()
+    header = [cell.strip() for cell in next(filter(None, rows), [])]
+    missing = [c for c in SUMS_COLUMNS if c not in header]
+    if missing:
+        hint = ""
+        if set(SUMS_COLUMNS) <= {part.strip() for part in ",".join(header).split(";")}:
+            hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
+        raise ValueError(f"missing columns: {', '.join(missing)}{hint}")
+    for column in SUMS_COLUMNS:
+        if header.count(column) > 1:
+            raise ValueError(f"line {reader.line_num}: column {column!r} appears twice")
+    pick = itemgetter(*map(header.index, SUMS_COLUMNS))
+    warnings: list[str] = []
+    factors: list[Factor] = []
+    active: list[int] = []
+    passive: list[int] = []
+    seen_ids: set[int] = set()
+    seen_identities: set[Identity] = set()
+    for cells in rows:
+        where = f"line {reader.line_num}"
+        if not any(map(str.strip, cells)):
+            if cells:
+                warnings.append(f"{where}: warning: empty row skipped")
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{where}: {len(cells)} cells, but the header has {len(header)}")
+        id_text, category_text, name, active_text, passive_text = pick(cells)
+        factor_id, active_sum, passive_sum = (
+            _whole_number(where, column, cell)
+            for column, cell in (("id", id_text), ("active_sum", active_text), ("passive_sum", passive_text))
+        )
+        if factor_id == 0:
+            raise ValueError(f"{where}: id must be positive")
+        try:
+            category = FactorCategory.parse(category_text)
+            key = normalize_name(name)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if factor_id in seen_ids:
+            raise ValueError(f"{where}: duplicate id {factor_id}")
+        if (category, key) in seen_identities:
+            raise ValueError(f"{where}: duplicate factor {name!r}")
+        seen_ids.add(factor_id)
+        seen_identities.add((category, key))
+        if category is FactorCategory.HARM and active_sum:
+            warnings.append(
+                f"{where}: warning: harm {name.strip()!r} has active sum {active_sum}; a harm ends every chain"
+            )
+        factors.append(Factor(category, name.strip(), key, factor_id))
+        active.append(active_sum)
+        passive.append(passive_sum)
+    if sum(active) != sum(passive):
+        warnings.append(f"warning: total active sum {sum(active)} != total passive sum {sum(passive)}")
+    return SumsTable(tuple(factors), tuple(active), tuple(passive)), warnings
+
+
+def _whole_number(where: str, column: str, text: str) -> int:
+    """A cell in ASCII digits, blanks around it stripped; int() alone would take 1_2 or other scripts' digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{where}: {column} {text!r} is not a whole number")
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ValueError(f"{where}: {column} has {len(text)} digits, too many to read") from None
 
 
 def _ordered_factors(display: dict[Identity, str]) -> tuple[Factor, ...]:

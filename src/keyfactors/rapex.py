@@ -57,7 +57,7 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
         field_map.update(fields)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nested array
         raise ValueError(f"alert file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError("alert file must be a JSON array of flat records")
@@ -168,13 +168,14 @@ def _skeleton(record: AlertRecord, risk: str | None) -> str:
 
 
 def _unique_file_name(alert: str, case: str, used: set[str]) -> str:
+    # used holds the names casefolded: on a case-insensitive file system A1__Burn and A1__burn are one file.
     base = f"{_sanitize(alert)}__{_sanitize(case)}"
     name = f"{base}.chains"
     suffix = 2
-    while name in used:
+    while name.casefold() in used:
         name = f"{base}-{suffix}.chains"
         suffix += 1
-    used.add(name)
+    used.add(name.casefold())
     return name
 
 

@@ -645,12 +645,13 @@ def test_output_digests_script_prints_the_same_lines_twice():
     assert skeletons and all(stream.startswith("skeletons/") for stream in skeletons)
 
 
-@pytest.mark.parametrize("workload", ["factors-wide", "intake"])
+@pytest.mark.parametrize("workload", ["chains-large", "factors-wide", "intake"])
 def test_generated_corpora_print_the_committed_digests(tmp_path, workload):
-    # Criterion 8 beyond the fixtures, on two seed-11 corpora of the benchmark:
+    # Criterion 8 beyond the fixtures, on three seed-11 corpora of the benchmark:
+    # chains-large (1,400 chains), whose parse is the largest it runs,
     # factors-wide (1,456 factors), whose report rows are the widest it prints,
     # and intake, whose injected defects send every chain command down its
-    # failure path, with diagnostics.
+    # failure path, with diagnostics. Each also reads its sums.csv.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     gen = [sys.executable, str(ROOT / "bench" / "gen.py"), "--workload", workload, "--seed", "11"]
     subprocess.run([*gen, "--out", str(tmp_path)], env=env, check=True, capture_output=True, timeout=300)
@@ -669,7 +670,8 @@ MODULE_PROBE = (
     "from keyfactors.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
     "print(*sorted(m for m in sys.modules if m.startswith('keyfactors')))\n"
-    "print('stdlib:', *sorted(m for m in ('dataclasses', 'decimal', 'inspect', 'pathlib', 'tempfile') if m in sys.modules))\n"
+    "watched = ('csv', 'dataclasses', 'decimal', 'inspect', 'pathlib', 'tempfile')\n"
+    "print('stdlib:', *sorted(m for m in watched if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
 
@@ -702,10 +704,15 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     assert result.returncode == 0, result.stderr
     *_, loaded, stdlib = result.stdout.splitlines()
     assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
-    # No command imports dataclasses (which imports inspect) or tempfile; only a threshold
-    # option, read exactly, needs decimal, and only import-rapex builds paths with pathlib.
+    # No command imports dataclasses (which imports inspect) or tempfile; csv comes only
+    # with the matrix layer (emit imports it), only a threshold option, read exactly,
+    # needs decimal, and only import-rapex builds paths with pathlib.
     thresholds = {"--dominant-ratio", "--reactive-ratio", "--key-threshold"}
-    expected = [*(["decimal"] if thresholds & {*argv} else []), *(["pathlib"] if "rapex" in layers else [])]
+    expected = [
+        *(["csv"] if "matrix" in layers else []),
+        *(["decimal"] if thresholds & {*argv} else []),
+        *(["pathlib"] if "rapex" in layers else []),
+    ]
     assert stdlib.split() == ["stdlib:", *expected]
 
 
@@ -854,6 +861,14 @@ BAD_INPUTS = [
         2,
         "error: {path}: line 2: column 'active_sum' appears twice",
     ),
+    # The csv module's own refusal: a cell over csv.field_size_limit().
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "oversized-cell.csv",
+        sums_row("1,component," + "x" * 131073 + ",2,0"),
+        2,
+        "error: {path}: line 2: field larger than field limit (131072)",
+    ),
     # A spreadsheet's trailing empty rows are skipped with a warning, which --strict refuses.
     (
         ["analyze", "--strict", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
@@ -861,6 +876,15 @@ BAD_INPUTS = [
         (SUMS_TABLE + "\n,,,,\n , ,,,\n").encode("utf-8"),
         1,
         "{path}: line 5: warning: empty row skipped",
+    ),
+    # JSON's decoder recurses once per nested array.
+    (
+        ["import-rapex", "{path}", "-d", "{tmp}/skeletons"],
+        "deep.json",
+        b"[" * 100000 + b"]" * 100000,
+        2,
+        "error: alert file is not valid JSON: maximum recursion depth exceeded while decoding a JSON array"
+        " from a unicode string",
     ),
     (
         ["validate", "--strict", "{path}"],
@@ -886,7 +910,7 @@ BAD_INPUTS = [
         "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "semicolon-padded-sums",
         "latin1-alerts", "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "unknown-category",
         "negative-id", "zero-id", "too-many-digits", "sixth-cell", "fourth-cell", "column-twice",
-        "empty-rows-strict", "no-text-strict", "same-file-twice-strict",
+        "oversized-cell", "empty-rows-strict", "deep-alerts", "no-text-strict", "same-file-twice-strict",
     ],
 )
 def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, code, first_line):

@@ -20,7 +20,7 @@ from keyfactors.emit import (
     x_pixel,
     y_pixel,
 )
-from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, competition_rank, sums
+from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, competition_rank, parse_sums_table, sums
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
 
 C = FactorCategory
@@ -218,6 +218,17 @@ def sums_tables(draw):
 def test_report_csv_is_byte_identical_to_the_per_row_writer(table, cfg):
     scores = analyze(table, cfg)
     assert export_report_csv(scores) == reference_report_csv(scores)
+
+
+@given(chain_sets())
+@example(ChainSet())
+def test_a_report_reads_back_as_its_own_sums_table(chain_set):
+    # The report's id, category, name and sum columns are a sums table; the reader strips padding from every cell.
+    table, warnings = parse_sums_table(export_report_csv(analyze(chain_set)))
+    expected = sums(chain_set)
+    stripped = tuple(factor._replace(display_name=factor.display_name.strip()) for factor in expected.factors)
+    assert warnings == []
+    assert table == expected._replace(factors=stripped)
 
 
 def test_report_csv_refuses_scores_without_an_axis_top_factor():

@@ -73,6 +73,12 @@ def test_file_names_never_collide():
     assert len({name for name, _ in files}) == 2
 
 
+def test_file_names_differ_in_more_than_case():
+    # On a case-insensitive file system A1__Burn.chains and A1__burn.chains are one file.
+    files, _ = import_rapex([AlertRecord("A1", risk_types=("Burn", "burn")), AlertRecord("a1", risk_types=("BURN",))])
+    assert [name for name, _ in files] == ["A1__Burn.chains", "A1__burn-2.chains", "a1__BURN-3.chains"]
+
+
 def test_parse_alert_records_default_fields():
     text = json.dumps(
         [{"alertNumber": "A5", "product": "p", "risk": "burn, fire", "description": "d"}]
