@@ -48,6 +48,7 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 from keyfactors.model import (
+    _UNWRITABLE,
     ChainSet,
     ChainValidationError,
     FactorCategory,
@@ -106,8 +107,7 @@ _STEP_PREFIX = rf'([A-Za-z_]+)\s*("{_NAME})?'
 _ESCAPE_RE = re.compile(r'\\([\\"nrt])')
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-# Control characters a name cannot hold, even escaped.
-_UNWRITABLE_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
+_UNWRITABLE_RE = re.compile(_UNWRITABLE)
 
 
 def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:

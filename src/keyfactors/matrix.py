@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 from collections import Counter
 from operator import attrgetter, countOf, eq, itemgetter
 from types import MappingProxyType
@@ -38,6 +39,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from keyfactors import model
 from keyfactors.model import (
     CATEGORY_ORDER,
+    _UNWRITABLE,
     ChainSet,
     ChainValidationError,
     EmptyNameError,
@@ -103,7 +105,8 @@ def parse_sums_table(text: str) -> tuple[SumsTable, list[str]]:
     """Read a sums table, a CSV with the SUMS_COLUMNS in any order; the table and its warnings.
 
     Raises ValueError, naming the line where there is one, for a table that
-    cannot be read, such as one whose header names a column twice. A row of
+    cannot be read, such as one whose header names a column twice or a name
+    holding a control character the chain format cannot write. A row of
     empty cells, such as the ``,,,,`` a spreadsheet writes below its data, is
     skipped with a warning; a harm with a nonzero active sum, and totals
     that differ, get one each. Line numbers count the text's lines.
@@ -129,6 +132,7 @@ def parse_sums_table(text: str) -> tuple[SumsTable, list[str]]:
         if header.count(column) > 1:
             raise ValueError(f"line {reader.line_num}: column {column!r} appears twice")
     pick = itemgetter(*map(header.index, SUMS_COLUMNS))
+    unwritable = re.compile(_UNWRITABLE).search
     warnings: list[str] = []
     factors: list[Factor] = []
     active: list[int] = []
@@ -150,6 +154,9 @@ def parse_sums_table(text: str) -> tuple[SumsTable, list[str]]:
         )
         if factor_id == 0:
             raise ValueError(f"{where}: id must be positive")
+        control = unwritable(name)
+        if control:
+            raise ValueError(f"{where}: name holds control character U+{ord(control[0]):04X}")
         try:
             category = FactorCategory.parse(category_text)
             key = normalize_name(name)

@@ -74,6 +74,11 @@ def normalize_name(raw: str) -> str:
 
 Identity = tuple[FactorCategory, str]
 
+# Control characters a factor name cannot hold, since the chain format
+# cannot write them, even escaped: every reader of names refuses them. A
+# pattern string, compiled by the layers that use it, not at this import.
+_UNWRITABLE = r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]"
+
 
 class Factor(NamedTuple):
     """One influencing factor. Identity is (category, canonical_key)."""

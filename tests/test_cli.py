@@ -1,5 +1,6 @@
 import collections
 import csv
+import gc
 import io
 import json
 import os
@@ -869,6 +870,14 @@ BAD_INPUTS = [
         2,
         "error: {path}: line 2: field larger than field limit (131072)",
     ),
+    # A name no chain document can write, as the chain reader and import-rapex refuse it.
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "control-in-name.csv",
+        sums_row("1,component,a\x01b,2,0"),
+        2,
+        "error: {path}: line 2: name holds control character U+0001",
+    ),
     # A spreadsheet's trailing empty rows are skipped with a warning, which --strict refuses.
     (
         ["analyze", "--strict", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
@@ -910,7 +919,8 @@ BAD_INPUTS = [
         "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "semicolon-padded-sums",
         "latin1-alerts", "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "unknown-category",
         "negative-id", "zero-id", "too-many-digits", "sixth-cell", "fourth-cell", "column-twice",
-        "oversized-cell", "empty-rows-strict", "deep-alerts", "no-text-strict", "same-file-twice-strict",
+        "oversized-cell", "control-in-name", "empty-rows-strict", "deep-alerts", "no-text-strict",
+        "same-file-twice-strict",
     ],
 )
 def test_bad_input_names_its_file_and_position(tmp_path, argv, name, data, code, first_line):
@@ -972,3 +982,85 @@ def test_closed_stdout_ends_quietly_with_exit_two(tmp_path):
     assert (proc.returncode, stderr) == (2, b"")
     assert main(["matrix", path, "-o", str(tmp_path / "m.csv")]) == 0
     assert (tmp_path / "m.csv").stat().st_size > 4 * 65536
+
+
+def test_main_runs_no_collection():
+    # A low gen-0 threshold makes a collecting run collect often: validate allocates thousands of objects.
+    collections = []
+
+    def count(phase, info):
+        collections.append((phase, info["generation"]))
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(10)
+    gc.callbacks.append(count)
+    try:
+        assert gc.isenabled()
+        assert main(["validate", *CHAIN_FILES]) == 0
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert collections == []
+
+
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    "from keyfactors.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "registered = atexit._ncallbacks()\n"
+    "sys.exit(main(sys.argv[1:]) or atexit._ncallbacks() - registered)\n"
+)
+
+
+def test_the_exit_collections_skip_what_main_left_alive():
+    # Atexit handlers run last in, first out, so the probe registered first sees the freeze.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, "validate", *CHAIN_FILES], env=env, capture_output=True, text=True
+    )
+    # Exit 0: the second run registered no second handler.
+    assert result.returncode == 0, result.stderr
+    label, count = result.stdout.split()
+    assert label == "frozen" and int(count) > 0
+
+
+class CollectorLog(io.StringIO):
+    """A text stream that records whether the collector was on at every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.enabled = []
+
+    def write(self, text):
+        self.enabled.append(gc.isenabled())
+        return super().write(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["from-enabled", "from-disabled"])
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["analyze", "--from-sums", str(DATA / "table1_as_printed.csv")], 0),
+        (["validate", str(DATA / "chains" / "burn.chains"), "{tmp}/missing.chains"], 2),
+        (["validate", "{bad}"], 1),
+        (["validate", "--no-such-option"], 2),
+        (["--help"], 0),
+    ],
+    ids=["success", "os-error", "exit-one", "usage-error", "help"],
+)
+def test_main_restores_the_collector_state_it_found(tmp_path, monkeypatch, enabled, argv, code):
+    bad = write(tmp_path, "bad.chains", BAD_HARM_DOC)
+    argv = [arg.format(tmp=tmp_path, bad=bad) for arg in argv]
+    log = CollectorLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    monkeypatch.setattr(sys, "stderr", log)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # Every run writes something, and the collector was off at each write.
+    assert log.enabled and not any(log.enabled)
