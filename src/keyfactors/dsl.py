@@ -34,23 +34,36 @@ comment or blank line, or a syntax error at its column. The table of line
 kinds is shared by every document and starts over when full. One pattern
 reads headers and well-formed step lines; on a step line it rejects, the
 fault is placed where the same name pattern stops. The blocks between
-separators are then walked over those kinds, which adds each line's
-number. A block with both headers and no error whose chain
-validate_chain accepts is kept, with its warnings; any other block is
-reported from the same kinds, its broken invariants placed on their
-steps' lines after its line diagnostics.
+separators are then read from those kinds.
+
+A clean document, the common case, is accepted whole: no line is a
+syntax error, every block is an ``alert:`` and a ``case:`` header with
+text and then its steps, and the chains pass the chain set check the
+matrix builder makes (model._all_valid), on the steps' identities. That
+is checked in C-level passes over all the document's kinds, with no
+Python step per line or per chain, and such a document has no
+diagnostics. Any other document is read block by block, which explains
+every rejection: the block walk adds each line's number, a block with
+both headers and no error whose chain validate_chain accepts is kept,
+with its warnings, and any other block is reported from the same kinds,
+its broken invariants placed on their steps' lines after its line
+diagnostics.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from enum import Enum
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Union
 
+from keyfactors import model
 from keyfactors.model import (
     _UNWRITABLE,
     ChainSet,
     ChainValidationError,
+    EmptyNameError,
     FactorCategory,
     FailureChain,
     Step,
@@ -80,6 +93,12 @@ class _Header:
 
     def __init__(self, key: str, text: str, column: int) -> None:
         self.key, self.text, self.column = key, text, column
+
+
+_KEY = attrgetter("key")
+_TEXT = attrgetter("text")
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 class _LineError(NamedTuple):
@@ -114,6 +133,11 @@ def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
     """Parse a chain document; never raises on malformed input."""
     lines = source.split("\n")
     kinds = list(map(_LINE_KINDS.__getitem__, lines))
+    # The search stops at the first syntax error, which only the block walk reports.
+    if _LineError not in map(type, kinds):
+        chains = _accept(kinds)
+        if chains is not None:
+            return chains, []
     # Only a document with a separator reports empty blocks.
     separated = _SEPARATOR in kinds
     diagnostics: list[Diagnostic] = []
@@ -131,6 +155,43 @@ def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
         if end == len(kinds):
             return ChainSet(chains), diagnostics
         start = end + 1
+
+
+def _accept(kinds: list[_Kind]) -> ChainSet | None:
+    """The chains of a document with no syntax error, if it is clean; None if it must be read block by block.
+
+    With blank and comment lines dropped, a clean document is runs of
+    one kind: two headers, ``alert:`` then ``case:``, both with text;
+    the steps; a separator; two headers again, and so on, ending in
+    steps. Its chains must pass model._all_valid on their identities. It
+    is checked in C-level passes over the whole document, with no Python
+    step per line or per chain.
+    """
+    # The runs of lines of one kind, blank and comment lines (None) dropped.
+    runs = list(map(tuple, map(_SECOND, itertools.groupby(filter(None, kinds), type))))
+    headers, step_lists, separators = runs[0::3], runs[1::3], runs[2::3]
+    if (
+        tuple(map(type, map(_FIRST, runs))) != ((_Header, tuple, str) * len(headers))[:-1]
+        or {*map(len, headers)} != {2}
+        or max(map(len, separators), default=1) > 1
+    ):
+        return None
+    alerts = list(map(_FIRST, headers))
+    cases = list(map(_SECOND, headers))
+    if {*map(_KEY, alerts)} != {"alert"} or {*map(_KEY, cases)} != {"case"} or not all(map(_TEXT, alerts + cases)):
+        return None
+    steps = list(itertools.chain.from_iterable(step_lists))
+    try:
+        # Read through the module, so a replaced table (tests swap it) is the one used.
+        identities = list(map(model._IDENTITIES.__getitem__, steps))
+    except EmptyNameError:
+        return None
+    if not model._all_valid(step_lists, steps, identities):
+        return None
+    # The header texts are stripped and the steps a tuple, as FailureChain.__new__ would make them.
+    return ChainSet(
+        map(tuple.__new__, itertools.repeat(FailureChain), zip(map(_TEXT, alerts), map(_TEXT, cases), step_lists))
+    )
 
 
 def _classify(line: str) -> _Kind:

@@ -223,8 +223,10 @@ def export_dot(matrix: RelationshipMatrix) -> str:
     for factor in matrix.factors:
         label = _dot_escape(f"{factor.id}: {factor.display_name}")
         lines.append(f'  f{factor.id} [label="{label}", shape={_DOT_SHAPES[factor.category]}];')
+    # Merged networks hold few distinct counts: each pen width is formatted once.
+    pen_widths = {value: f"{float(value):.1f}" for value in set(matrix.edges.values())}
     for (r, c), value in matrix.edges.items():
-        lines.append(f'  f{r + 1} -> f{c + 1} [label="{value}", penwidth={float(value):.1f}];')
+        lines.append(f'  f{r + 1} -> f{c + 1} [label="{value}", penwidth={pen_widths[value]}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -32,7 +32,7 @@ import io
 import itertools
 import re
 from collections import Counter
-from operator import attrgetter, countOf, eq, itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -212,11 +212,7 @@ def _number(chains: ChainSet) -> tuple[tuple[Factor, ...], list[int]]:
     Each distinct raw step (category, name) is looked up in the identity
     table once, whatever the number of chains or steps; the rest runs in
     C-level maps and counts. The whole set is checked at once, on the
-    numbers: it is valid exactly when every chain has at least two steps
-    and ends in a harm, the set holds as many harms as chains, no name is
-    blank and no two adjacent steps share a factor. In a valid set a harm
-    is followed only by the next chain's first step, which is not a harm,
-    so a chain boundary never shows a false repeat. Raises
+    numbers, by model._all_valid once no name is found blank. Raises
     ChainValidationError, with every offending chain's violations, if the
     set is invalid.
     """
@@ -236,13 +232,7 @@ def _number(chains: ChainSet) -> tuple[tuple[Factor, ...], list[int]]:
     for step, identity in index.items():
         index[step] = position[identity]
     rows = list(map(index.__getitem__, steps))
-    harm = FactorCategory.HARM
-    if (
-        min(map(len, step_lists), default=2) < 2
-        or countOf(map(itemgetter(0), map(itemgetter(-1), step_lists)), harm) != len(step_lists)
-        or countOf(map(itemgetter(0), steps), harm) != len(step_lists)
-        or any(map(eq, rows, rows[1:]))
-    ):
+    if not model._all_valid(step_lists, steps, rows):
         raise _invalid(chains)
     return factors, rows
 

@@ -186,6 +186,28 @@ class _Memo(dict):
 _IDENTITIES = _Memo(lambda step: (step[0], normalize_name(step[1])))
 
 
+def _all_valid(step_lists: Sequence[Sequence[Step]], steps: Sequence[Step], keys: Sequence) -> bool:
+    """Whether every chain of a set is valid, checked on the whole set at once in C-level passes.
+
+    ``steps`` are the steps of ``step_lists`` end to end and ``keys`` one
+    value per step, equal exactly where the steps' identities are: the
+    identities, or factor numbers. The caller has found every name to
+    have an identity. The set is valid exactly when every chain has at
+    least two steps and ends in a harm, the set holds as many harms as
+    chains and no two adjacent keys are equal. In a valid set a harm is
+    followed only by the next chain's first step, which is not a harm, so
+    a chain boundary never shows a false repeat.
+    """
+    harm = FactorCategory.HARM
+    return not (
+        min(map(len, step_lists), default=2) < 2
+        or operator.countOf(map(operator.itemgetter(0), map(operator.itemgetter(-1), step_lists)), harm)
+        != len(step_lists)
+        or operator.countOf(map(operator.itemgetter(0), steps), harm) != len(step_lists)
+        or any(map(operator.eq, keys, keys[1:]))
+    )
+
+
 def validate_chain(chain: FailureChain) -> list[Violation]:
     """Every broken chain invariant, in step order.
 

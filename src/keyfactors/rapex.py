@@ -5,12 +5,23 @@ chain document per (alert, risk) pair. A skeleton carries the alert and
 case headers, the alert description as comment lines, and the terminal
 harm step; the analyst fills in the preceding steps. Field names in the
 record file are remappable because export schemas vary.
+
+A clean file, whose every record is usable, is read whole: each field is
+read for all records at once and checked in C-level passes, each distinct
+risk value is read once, and the records are built from those columns,
+with no Python step per record. A file with an unusable record is read
+again one record at a time, from the first, so the error names the first
+unusable record and says what is wrong with it. import_rapex likewise lists every (alert,
+risk) pair at once, keeps each pair's first occurrence, and writes each
+distinct pair's duplicate warning text once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from operator import itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from keyfactors.dsl import _UNWRITABLE_RE, Diagnostic, Severity, _escape_name
@@ -61,8 +72,11 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
         raise ValueError(f"alert file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError("alert file must be a JSON array of flat records")
-
-    records: list[AlertRecord] = []
+    records = _accept(data, field_map)
+    if records is not None:
+        return records
+    # A record is unusable: read them one at a time, so the first such record is the one reported.
+    records = []
     for index, raw in enumerate(data, start=1):
         if not isinstance(raw, dict):
             raise MalformedRecordError(index, "record is not an object")
@@ -86,6 +100,49 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
             raise MalformedRecordError(index, f"text cannot be encoded as UTF-8: {exc.reason}") from None
         records.append(record)
     return records
+
+
+# The type a decoded risk value is converted to for a key of the risk table: a
+# list becomes a tuple and None the type NoneType. A str or a number converts
+# to itself; anything else cannot be a key.
+_RISK_KEY_TYPES = {list: tuple, type(None): type}
+
+
+def _accept(data: list, field_map: dict[str, str]) -> list[AlertRecord] | None:
+    """The records of a clean file, or None if one of its records is unusable.
+
+    Clean: every record is an object whose alert, product and description
+    fields are strings (product and description may be absent), every
+    alert has text and spans no lines, each distinct risk value reads
+    without error, and all the text encodes as UTF-8. Checked in C-level
+    passes over whole columns; _parse_risks runs once per distinct risk
+    value, and no Python step runs per record.
+    """
+    if not {*map(type, data)} <= {dict}:
+        return None
+    alerts, products, risk_values, descriptions = (
+        list(map(dict.get, data, itertools.repeat(field_map[role]), itertools.repeat(default)))
+        for role, default in (("alert", None), ("product", ""), ("risk", None), ("description", ""))
+    )
+    if not {*map(type, alerts), *map(type, products), *map(type, descriptions)} <= {str}:
+        return None
+    stripped = list(map(str.strip, alerts))
+    joined = "".join(alerts)
+    if not all(stripped) or "\n" in joined or "\r" in joined:
+        return None
+    types = list(map(type, risk_values))
+    keys = list(map(type.__call__, map(_RISK_KEY_TYPES.get, types, types), risk_values))
+    try:
+        table = {key: _parse_risks(value, 0) for key, value in dict(zip(keys, risk_values)).items()}
+        # JSON escapes can spell lone surrogates, which no output file can hold. An ASCII text holds none,
+        # and joining only the others keeps a file of long descriptions from being copied twice.
+        texts = itertools.chain(alerts, products, descriptions, *table.values())
+        "".join(itertools.filterfalse(str.isascii, texts)).encode()
+    except (TypeError, MalformedRecordError, UnicodeEncodeError):  # TypeError: a value that cannot be a key
+        return None
+    # The columns hold what AlertRecord.__new__ would store, so the records are built without it.
+    columns = zip(stripped, products, map(table.__getitem__, keys), descriptions)
+    return list(map(tuple.__new__, itertools.repeat(AlertRecord), columns))
 
 
 def _parse_risks(value: object, index: int) -> tuple[str, ...]:
@@ -124,30 +181,29 @@ def import_rapex(records: list[AlertRecord]) -> tuple[list[tuple[str, str]], lis
     Duplicate (alert, risk) pairs are dropped with a warning diagnostic
     whose line number is the 1-based record index.
     """
-    files: list[tuple[str, str]] = []
-    warnings: list[Diagnostic] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    # Every (alert, case) pair of every record, in record order, and the
+    # 1-based index of its record; a record without risks has one pair.
+    pairs = [(record.alert_number, risk) for record in records for risk in record.risk_types or (UNSPECIFIED_CASE,)]
+    counts = map(max, map(len, map(itemgetter(2), records)), itertools.repeat(1))
+    lines = list(itertools.chain.from_iterable(map(itertools.repeat, itertools.count(1), counts)))
+    # Each pair's first occurrence makes its file; every later one is a duplicate.
+    first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))
     used_names: set[str] = set()
-
-    for index, record in enumerate(records, start=1):
-        cases: tuple[str | None, ...] = record.risk_types or (None,)
-        for risk in cases:
-            case = risk if risk is not None else UNSPECIFIED_CASE
-            pair = (record.alert_number, case)
-            if pair in seen_pairs:
-                warnings.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        index,
-                        1,
-                        f"duplicate alert/risk pair ({record.alert_number!r}, {case!r}); skipped",
-                    )
-                )
-                continue
-            seen_pairs.add(pair)
-            name = _unique_file_name(record.alert_number, case, used_names)
-            files.append((name, _skeleton(record, risk)))
-    return files, warnings
+    files = []
+    for position in sorted(first.values()):
+        alert, case = pairs[position]
+        record = records[lines[position] - 1]
+        skeleton = _skeleton(record, case if record.risk_types else None)  # a record without risks has no harm
+        files.append((_unique_file_name(alert, case, used_names), skeleton))
+    later = list(map(ne, map(first.__getitem__, pairs), itertools.count()))
+    texts = {pair: f"duplicate alert/risk pair ({pair[0]!r}, {pair[1]!r}); skipped" for pair in first}
+    columns = zip(
+        itertools.repeat(Severity.WARNING),
+        itertools.compress(lines, later),
+        itertools.repeat(1),
+        map(texts.__getitem__, itertools.compress(pairs, later)),
+    )
+    return files, list(map(tuple.__new__, itertools.repeat(Diagnostic), columns))
 
 
 def _skeleton(record: AlertRecord, risk: str | None) -> str:

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -540,11 +541,22 @@ LINE_VARIANTS = {
 }
 
 
+# Variants that keep a block clean: no syntax error, no warning, no broken invariant.
+CLEAN_VARIANTS = ["crlf", "indent", "upper", "comment", "indented comment", "blank"]
+
+
 @st.composite
-def chain_documents(draw):
-    """Valid, defective, step-less and empty blocks, each line kept or varied, joined by separators."""
+def chain_documents(draw, clean=False):
+    """Valid, defective, step-less and empty blocks, each line kept or varied, joined by separators.
+
+    A clean document holds one valid block or more, varied only in ways
+    that keep it valid, and ends without a separator: the parser accepts
+    it whole.
+    """
+    kinds = ["valid"] if clean else ["valid", "valid", "defect", "headers", "empty"]
+    variants = CLEAN_VARIANTS if clean else sorted(LINE_VARIANTS)
     blocks = []
-    for kind in draw(st.lists(st.sampled_from(["valid", "valid", "defect", "headers", "empty"]), max_size=4)):
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=int(clean), max_size=4)):
         if kind == "empty":
             lines = draw(st.lists(st.sampled_from(["", "# note", "   "]), max_size=2))
         else:
@@ -561,12 +573,13 @@ def chain_documents(draw):
             # A block keeps the serializer's form, or departs from it in a line or two.
             for _ in range(draw(st.integers(min_value=0, max_value=2))):
                 i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-                lines[i : i + 1] = LINE_VARIANTS[draw(st.sampled_from(sorted(LINE_VARIANTS)))](lines[i])
+                lines[i : i + 1] = LINE_VARIANTS[draw(st.sampled_from(variants))](lines[i])
         blocks.append("\n".join(lines))
     parts = []
     for block in blocks:
         parts += [block, draw(st.sampled_from(["---", "---", "  ---  ", "---\r"]))]
-    ending = draw(st.sampled_from(["separator, newline", "separator", "newline", "nothing"]))
+    endings = ["newline", "nothing"] if clean else ["separator, newline", "separator", "newline", "nothing"]
+    ending = draw(st.sampled_from(endings))
     if ending in ("newline", "nothing"):
         parts = parts[:-1]
     text = "\n".join(parts)
@@ -574,6 +587,63 @@ def chain_documents(draw):
 
 
 @settings(max_examples=300)
-@given(chain_documents())
-def test_parse_document_agrees_with_the_reference_reader(text):
-    assert parse_document(text) == reference_parse(text)
+@given(st.booleans().flatmap(lambda clean: st.tuples(st.just(clean), chain_documents(clean=clean))))
+@example((False, 'case: c\nalert: a\ncomponent "x"\nharm "h"\n'))
+@example((False, 'alert:\ncase: c\ncomponent "x"\nharm "h"\n'))
+@example((False, 'alert: a\ncase: c\ncomponent "x"\nharm "h"\n---\n'))
+@example((False, "# only\n\n  # comments\n"))
+@example((False, 'alert: a\ncase: c\nharm "h"\n'))
+@example((False, 'alert: a\ncase: c\ncase: d\ncomponent "x"\nharm "h"\n'))
+@example((False, 'alert: a\nalert: b\ncomponent "x"\nharm "h"\n'))
+@example((False, 'case: c\ncase: d\ncomponent "x"\nharm "h"\n'))
+@example((False, HAIR_DRYER_BURN + "---\n# none\n---\n" + HAIR_DRYER_BURN))
+def test_parse_document_agrees_with_the_reference_reader(document):
+    clean, text = document
+    with mock.patch.object(dsl, "_read_block", wraps=dsl._read_block) as read_block:
+        assert parse_document(text) == reference_parse(text)
+    # A clean document is accepted whole, without reading a block.
+    assert not (clean and read_block.called)
+
+
+THREE_CLEAN_BLOCKS = (
+    "# three chains\n\n"
+    + HAIR_DRYER_BURN
+    + "---\n"
+    + HAIR_DRYER_BURN.replace("case: burn", "  CASE:  scald ").replace('harm "burn"', 'harm "scald"')
+    + "\n---\n"
+    + 'alert: A12/01100/23\ncase: poisoning\n# no action recorded\ncomponent "housing"\nharm "poisoning"\n'
+)
+
+
+def _count_calls(monkeypatch, *names):
+    calls = Counter()
+    for name in names:
+        function = getattr(dsl, name)
+
+        def counted(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(dsl, name, counted)
+    return calls
+
+
+def test_a_clean_document_is_accepted_whole(monkeypatch):
+    calls = _count_calls(monkeypatch, "_read_block", "validate_chain")
+    chain_set, diagnostics = parse_document(THREE_CLEAN_BLOCKS)
+    assert calls == Counter()
+    assert (chain_set, diagnostics) == reference_parse(THREE_CLEAN_BLOCKS)
+    assert [c.case_label for c in chain_set] == ["burn", "scald", "poisoning"] and diagnostics == []
+
+
+def test_a_defect_in_a_clean_document_is_explained_block_by_block(monkeypatch):
+    doc = THREE_CLEAN_BLOCKS.replace('component "housing"', 'component "housing"\nharm "poisoning"')
+    calls = _count_calls(monkeypatch, "_read_block")
+    chain_set, diagnostics = parse_document(doc)
+    assert calls == Counter({"_read_block": 3})
+    assert (chain_set, diagnostics) == reference_parse(doc)
+    assert [c.case_label for c in chain_set] == ["burn", "scald"]
+    assert diagnostics == [
+        Diagnostic(Severity.ERROR, 26, 1, "HarmNotTerminal: harm 'poisoning' at step 2 is not the final step"),
+        Diagnostic(Severity.ERROR, 27, 1, "SelfTransition: step 3 repeats the preceding factor 'poisoning'"),
+    ]

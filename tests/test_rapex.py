@@ -1,8 +1,13 @@
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keyfactors import rapex
 from keyfactors.dsl import Severity, parse_document
+from keyfactors.model import DEFAULT_FIELDS
 from keyfactors.rapex import (
     AlertRecord,
     MalformedRecordError,
@@ -138,3 +143,73 @@ def test_parse_alert_records_refuses_a_risk_with_a_control_character(risk):
 def test_alert_record_requires_nonempty_number():
     with pytest.raises(ValueError):
         AlertRecord("   ")
+
+
+# Texts a usable record may hold: blanks, commas, a tab and non-ASCII letters.
+TEXT_CHARS = "Ab1/ ,\t-äß漢"
+alert_texts = st.text(alphabet=TEXT_CHARS, min_size=1, max_size=8).filter(str.strip)
+risk_texts = st.text(alphabet=TEXT_CHARS.replace(",", ""), max_size=8)
+
+
+@st.composite
+def usable_records(draw):
+    record = {"alertNumber": draw(alert_texts)}
+    risk = draw(st.one_of(st.none(), st.lists(risk_texts, max_size=3), st.lists(risk_texts, max_size=3).map(",".join)))
+    for field, value in (("risk", risk), ("product", draw(st.text(max_size=8))), ("description", draw(st.text()))):
+        if draw(st.booleans()):
+            record[field] = value
+    return record
+
+
+# One change each that makes a record unusable, or that the per-record reader
+# repairs (a product or description that is not a string).
+MUTATIONS = {
+    "no alert": lambda record: {k: v for k, v in record.items() if k != "alertNumber"},
+    "blank alert": lambda record: {**record, "alertNumber": " \t"},
+    "alert not a string": lambda record: {**record, "alertNumber": 5},
+    "alert spans lines": lambda record: {**record, "alertNumber": "a\nb"},
+    "alert ends in CR": lambda record: {**record, "alertNumber": "a\r"},
+    "risk a number": lambda record: {**record, "risk": 7},
+    "risk entry a number": lambda record: {**record, "risk": [1]},
+    "risk an object": lambda record: {**record, "risk": {"burn": 1}},
+    "risk entry a list": lambda record: {**record, "risk": [["burn"]]},
+    "risk true": lambda record: {**record, "risk": True},
+    "risk spans lines": lambda record: {**record, "risk": "burn\nfire"},
+    "control character in a risk": lambda record: {**record, "risk": "bu\u0001rn, fire"},
+    "control character in a risk entry": lambda record: {**record, "risk": ["sh\u0085ock"]},
+    "lone surrogate in the alert": lambda record: {**record, "alertNumber": "A\ud800"},
+    "lone surrogate in the product": lambda record: {**record, "product": "p\udfff"},
+    "lone surrogate in a risk": lambda record: {**record, "risk": ["burn\ud800"]},
+    "lone surrogate in the description": lambda record: {**record, "description": "\ud800"},
+    "product a number": lambda record: {**record, "product": 7},
+    "product null": lambda record: {**record, "product": None},
+    "description a number": lambda record: {**record, "description": 2.5},
+    "record a string": lambda record: "A1",
+    "record a list": lambda record: [record],
+}
+
+
+def _outcome(text):
+    try:
+        return parse_alert_records(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(usable_records(), max_size=6),
+    st.one_of(st.none(), st.sampled_from(sorted(MUTATIONS))),
+    st.integers(min_value=0),
+)
+def test_the_whole_file_and_the_per_record_reader_agree(records, mutation, position):
+    if mutation is not None:
+        records = records or [{"alertNumber": "A1"}]
+        position %= len(records)
+        records[position] = MUTATIONS[mutation](records[position])
+    text = json.dumps(records)
+    whole = _outcome(text)
+    with mock.patch.object(rapex, "_accept", return_value=None):
+        assert _outcome(text) == whole
+    if mutation is None:
+        assert rapex._accept(json.loads(text), dict(DEFAULT_FIELDS)) == whole
