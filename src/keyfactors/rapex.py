@@ -6,14 +6,15 @@ case headers, the alert description as comment lines, and the terminal
 harm step; the analyst fills in the preceding steps. Field names in the
 record file are remappable because export schemas vary.
 
-A clean file, whose every record is usable, is read whole: each field is
-read for all records at once and checked in C-level passes, each distinct
-risk value is read once, and the records are built from those columns,
-with no Python step per record. A file with an unusable record is read
-again one record at a time, from the first, so the error names the first
-unusable record and says what is wrong with it. import_rapex likewise lists every (alert,
-risk) pair at once, keeps each pair's first occurrence, and writes each
-distinct pair's duplicate warning text once.
+One rule, _accept, says which records are usable, and only it builds
+AlertRecords. It reads each field for all records at once and checks it
+in C-level passes, reads each distinct risk value once, and builds the
+records from those columns, with no Python step per record. A file it
+refuses is checked again by the same rule one record at a time, from the
+first, so the error names the first unusable record and says what is
+wrong with it. import_rapex likewise lists every (alert, risk) pair at
+once, keeps each pair's first occurrence, and writes each distinct
+pair's duplicate warning text once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import json
 import re
 from operator import itemgetter, ne
+from types import NoneType
 from typing import Iterable, NamedTuple
 
 from keyfactors.dsl import _UNWRITABLE_RE, Diagnostic, Severity, _escape_name
@@ -72,74 +74,64 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
         raise ValueError(f"alert file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError("alert file must be a JSON array of flat records")
-    records = _accept(data, field_map)
-    if records is not None:
-        return records
-    # A record is unusable: read them one at a time, so the first such record is the one reported.
-    records = []
+    try:
+        return _accept(data, field_map)
+    except MalformedRecordError as exc:
+        refusal = exc
+    # The same rule, applied to one record at a time, names the first unusable record.
     for index, raw in enumerate(data, start=1):
-        if not isinstance(raw, dict):
-            raise MalformedRecordError(index, "record is not an object")
-        alert = raw.get(field_map["alert"])
-        if not isinstance(alert, str) or not alert.strip():
-            raise MalformedRecordError(
-                index, f"missing or empty field {field_map['alert']!r}"
-            )
-        if "\n" in alert or "\r" in alert:
-            raise MalformedRecordError(index, "alert number cannot span lines")
-        record = AlertRecord(
-            alert_number=alert,
-            product=str(raw.get(field_map["product"], "") or ""),
-            risk_types=_parse_risks(raw.get(field_map["risk"]), index),
-            description=str(raw.get(field_map["description"], "") or ""),
-        )
-        # JSON escapes can spell lone surrogates, which no output file can hold.
-        try:
-            "".join((record.alert_number, record.product, *record.risk_types, record.description)).encode()
-        except UnicodeEncodeError as exc:
-            raise MalformedRecordError(index, f"text cannot be encoded as UTF-8: {exc.reason}") from None
-        records.append(record)
-    return records
+        _accept([raw], field_map, index)
+    raise refusal  # unreachable while the rule refuses a file only for one of its records
 
 
 # The type a decoded risk value is converted to for a key of the risk table: a
 # list becomes a tuple and None the type NoneType. A str or a number converts
-# to itself; anything else cannot be a key.
-_RISK_KEY_TYPES = {list: tuple, type(None): type}
+# to itself; an object, or a list holding one or a list, gives no key.
+_RISK_KEY_TYPES = {list: tuple, NoneType: type}
 
 
-def _accept(data: list, field_map: dict[str, str]) -> list[AlertRecord] | None:
-    """The records of a clean file, or None if one of its records is unusable.
+def _accept(data: list, field_map: dict[str, str], index: int = 0) -> list[AlertRecord]:
+    """The records of data, or MalformedRecordError(index, why) at the first check that fails.
 
-    Clean: every record is an object whose alert, product and description
-    fields are strings (product and description may be absent), every
-    alert has text and spans no lines, each distinct risk value reads
-    without error, and all the text encodes as UTF-8. Checked in C-level
-    passes over whole columns; _parse_risks runs once per distinct risk
-    value, and no Python step runs per record.
+    The checks, in order: every record is an object; every alert field is
+    a string with text that spans no lines; every product and description
+    field is a string, null or absent (null reads as absent); each distinct
+    risk value passes _parse_risks; and all the text encodes as UTF-8.
+    Each runs as a C-level pass over a whole column, _parse_risks runs once
+    per distinct risk value, and no Python step runs per record.
     """
     if not {*map(type, data)} <= {dict}:
-        return None
+        raise MalformedRecordError(index, "record is not an object")
     alerts, products, risk_values, descriptions = (
         list(map(dict.get, data, itertools.repeat(field_map[role]), itertools.repeat(default)))
         for role, default in (("alert", None), ("product", ""), ("risk", None), ("description", ""))
     )
-    if not {*map(type, alerts), *map(type, products), *map(type, descriptions)} <= {str}:
-        return None
-    stripped = list(map(str.strip, alerts))
+    if not {*map(type, alerts)} <= {str} or not all(stripped := list(map(str.strip, alerts))):
+        raise MalformedRecordError(index, f"missing or empty field {field_map['alert']!r}")
     joined = "".join(alerts)
-    if not all(stripped) or "\n" in joined or "\r" in joined:
-        return None
+    if "\n" in joined or "\r" in joined:
+        raise MalformedRecordError(index, "alert number cannot span lines")
+    for role, column in (("product", products), ("description", descriptions)):
+        kinds = {*map(type, column)}
+        if not kinds <= {str, NoneType}:
+            raise MalformedRecordError(index, f"field {field_map[role]!r} must be a string")
+        if NoneType in kinds:
+            column[:] = map({None: ""}.get, column, column)
     types = list(map(type, risk_values))
     keys = list(map(type.__call__, map(_RISK_KEY_TYPES.get, types, types), risk_values))
     try:
-        table = {key: _parse_risks(value, 0) for key, value in dict(zip(keys, risk_values)).items()}
-        # JSON escapes can spell lone surrogates, which no output file can hold. An ASCII text holds none,
-        # and joining only the others keeps a file of long descriptions from being copied twice.
-        texts = itertools.chain(alerts, products, descriptions, *table.values())
+        distinct = dict(zip(keys, risk_values))
+    except TypeError:  # a value that gives no key: read each value on its own
+        keys = range(len(risk_values))
+        distinct = dict(enumerate(risk_values))
+    table = {key: _parse_risks(value, index) for key, value in distinct.items()}
+    # JSON escapes can spell lone surrogates, which no output file can hold. An ASCII text holds none,
+    # and joining only the others keeps a file of long descriptions from being copied twice.
+    texts = itertools.chain(alerts, products, descriptions, *table.values())
+    try:
         "".join(itertools.filterfalse(str.isascii, texts)).encode()
-    except (TypeError, MalformedRecordError, UnicodeEncodeError):  # TypeError: a value that cannot be a key
-        return None
+    except UnicodeEncodeError as exc:
+        raise MalformedRecordError(index, f"text cannot be encoded as UTF-8: {exc.reason}") from None
     # The columns hold what AlertRecord.__new__ would store, so the records are built without it.
     columns = zip(stripped, products, map(table.__getitem__, keys), descriptions)
     return list(map(tuple.__new__, itertools.repeat(AlertRecord), columns))

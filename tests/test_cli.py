@@ -493,6 +493,25 @@ def test_import_rapex_lone_surrogate_exits_one_and_writes_nothing(tmp_path, caps
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(("product_field", "argv"), [("product", []), ("name", ["--field-product", "name"])])
+def test_import_rapex_refuses_a_product_that_is_not_text(tmp_path, capsys, product_field, argv):
+    record = {"alertNumber": "A1", product_field: {"name": "dryer"}, "risk": "burn", "description": ["hot", "very"]}
+    alerts = write(tmp_path, "alerts.json", json.dumps([record]))
+    assert main(["import-rapex", alerts, "-d", str(tmp_path / "out"), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: record 1: field {product_field!r} must be a string\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["alerts.json"]
+
+
+def test_import_rapex_reads_a_null_product_as_no_product(tmp_path):
+    records = [{"alertNumber": "A1", "risk": "burn"}, {"alertNumber": "A2", "description": "hot"}]
+    skeletons = []
+    for name, product in (("absent", {}), ("null", {"product": None})):
+        alerts = write(tmp_path, f"{name}.json", json.dumps([{**record, **product} for record in records]))
+        assert main(["import-rapex", alerts, "-d", str(tmp_path / name)]) == 0
+        skeletons.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert skeletons[0] == skeletons[1] and len(skeletons[0]) == 2
+
+
 def test_import_rapex_refuses_a_risk_with_a_control_character(tmp_path, capsys):
     alerts = write(tmp_path, "alerts.json", json.dumps([{"alertNumber": "A1", "risk": "bu\u0001rn"}]))
     assert main(["import-rapex", alerts, "-d", str(tmp_path / "out")]) == 1

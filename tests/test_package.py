@@ -59,3 +59,31 @@ def test_every_benchmark_check_catches_an_altered_output():
     result = subprocess.run(selftest, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].endswith(" 0 failures")
+
+
+
+def test_every_library_name_the_benchmark_reaches_resolves():
+    # bench/ reaches into the library by name: its imports, the layer functions its traced
+    # path wraps, and two methods that path calls. The test suite never runs the traced path,
+    # so a renamed or removed name would otherwise fail only in a benchmark run.
+    import ast
+    import importlib
+    import importlib.util
+
+    from keyfactors.dsl import parse_document
+    from keyfactors.matrix import build_matrix
+
+    for path in sorted((ROOT / "bench").glob("*.py")):  # among them gen.py's matrix.brute_force_sums
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("keyfactors"):
+                exec(ast.unparse(node), {})
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"keyfactors.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"keyfactors.{layer}.{name}"
+    chain_set, _ = parse_document('alert: A1\ncase: burn\ncomponent "plug"\nharm "burn"\n')
+    assert chain_set.chains == tuple(chain_set) and len(chain_set.chains) == 1
+    assert build_matrix(chain_set).total() == 1

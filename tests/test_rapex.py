@@ -11,6 +11,7 @@ from keyfactors.model import DEFAULT_FIELDS
 from keyfactors.rapex import (
     AlertRecord,
     MalformedRecordError,
+    _parse_risks,
     import_rapex,
     parse_alert_records,
 )
@@ -145,6 +146,10 @@ def test_alert_record_requires_nonempty_number():
         AlertRecord("   ")
 
 
+MISSING_ALERT = "missing or empty field 'alertNumber'"
+RISK_NOT_TEXT = "risk field must be a string or a list of strings"
+NOT_UTF8 = "text cannot be encoded as UTF-8: surrogates not allowed"
+
 # Texts a usable record may hold: blanks, commas, a tab and non-ASCII letters.
 TEXT_CHARS = "Ab1/ ,\t-äß漢"
 alert_texts = st.text(alphabet=TEXT_CHARS, min_size=1, max_size=8).filter(str.strip)
@@ -161,55 +166,88 @@ def usable_records(draw):
     return record
 
 
-# One change each that makes a record unusable, or that the per-record reader
-# repairs (a product or description that is not a string).
+# One change each to a usable record, and the error it must raise; None
+# marks a change the reader accepts (null reads as an absent field).
 MUTATIONS = {
-    "no alert": lambda record: {k: v for k, v in record.items() if k != "alertNumber"},
-    "blank alert": lambda record: {**record, "alertNumber": " \t"},
-    "alert not a string": lambda record: {**record, "alertNumber": 5},
-    "alert spans lines": lambda record: {**record, "alertNumber": "a\nb"},
-    "alert ends in CR": lambda record: {**record, "alertNumber": "a\r"},
-    "risk a number": lambda record: {**record, "risk": 7},
-    "risk entry a number": lambda record: {**record, "risk": [1]},
-    "risk an object": lambda record: {**record, "risk": {"burn": 1}},
-    "risk entry a list": lambda record: {**record, "risk": [["burn"]]},
-    "risk true": lambda record: {**record, "risk": True},
-    "risk spans lines": lambda record: {**record, "risk": "burn\nfire"},
-    "control character in a risk": lambda record: {**record, "risk": "bu\u0001rn, fire"},
-    "control character in a risk entry": lambda record: {**record, "risk": ["sh\u0085ock"]},
-    "lone surrogate in the alert": lambda record: {**record, "alertNumber": "A\ud800"},
-    "lone surrogate in the product": lambda record: {**record, "product": "p\udfff"},
-    "lone surrogate in a risk": lambda record: {**record, "risk": ["burn\ud800"]},
-    "lone surrogate in the description": lambda record: {**record, "description": "\ud800"},
-    "product a number": lambda record: {**record, "product": 7},
-    "product null": lambda record: {**record, "product": None},
-    "description a number": lambda record: {**record, "description": 2.5},
-    "record a string": lambda record: "A1",
-    "record a list": lambda record: [record],
+    "no alert": (lambda record: {k: v for k, v in record.items() if k != "alertNumber"}, MISSING_ALERT),
+    "blank alert": (lambda record: {**record, "alertNumber": " \t"}, MISSING_ALERT),
+    "alert not a string": (lambda record: {**record, "alertNumber": 5}, MISSING_ALERT),
+    "alert spans lines": (lambda record: {**record, "alertNumber": "a\nb"}, "alert number cannot span lines"),
+    "alert ends in CR": (lambda record: {**record, "alertNumber": "a\r"}, "alert number cannot span lines"),
+    "risk a number": (lambda record: {**record, "risk": 7}, RISK_NOT_TEXT),
+    "risk entry a number": (lambda record: {**record, "risk": [1]}, "risk entries must be strings"),
+    "risk an object": (lambda record: {**record, "risk": {"burn": 1}}, RISK_NOT_TEXT),
+    "risk entry a list": (lambda record: {**record, "risk": [["burn"]]}, "risk entries must be strings"),
+    "risk true": (lambda record: {**record, "risk": True}, RISK_NOT_TEXT),
+    "risk spans lines": (lambda record: {**record, "risk": "burn\nfire"}, "risk text cannot span lines"),
+    "control character in a risk": (
+        lambda record: {**record, "risk": "bu\u0001rn, fire"},
+        "risk text holds control character U+0001",
+    ),
+    "control character in a risk entry": (
+        lambda record: {**record, "risk": ["sh\u0085ock"]},
+        "risk text holds control character U+0085",
+    ),
+    "lone surrogate in the alert": (lambda record: {**record, "alertNumber": "A\ud800"}, NOT_UTF8),
+    "lone surrogate in the product": (lambda record: {**record, "product": "p\udfff"}, NOT_UTF8),
+    "lone surrogate in a risk": (lambda record: {**record, "risk": ["burn\ud800"]}, NOT_UTF8),
+    "lone surrogate in the description": (lambda record: {**record, "description": "\ud800"}, NOT_UTF8),
+    "product a number": (lambda record: {**record, "product": 7}, "field 'product' must be a string"),
+    "product an object": (lambda record: {**record, "product": {"name": "dryer"}}, "field 'product' must be a string"),
+    "product false": (lambda record: {**record, "product": False}, "field 'product' must be a string"),
+    "product null": (lambda record: {**record, "product": None}, None),
+    "description a number": (lambda record: {**record, "description": 2.5}, "field 'description' must be a string"),
+    "description a list": (
+        lambda record: {**record, "description": ["hot", "very"]},
+        "field 'description' must be a string",
+    ),
+    "description null": (lambda record: {**record, "description": None}, None),
+    "record a string": (lambda record: "A1", "record is not an object"),
+    "record a list": (lambda record: [record], "record is not an object"),
 }
 
 
-def _outcome(text):
-    try:
-        return parse_alert_records(text)
-    except ValueError as exc:
-        return type(exc), str(exc)
+def _reference(records):
+    """The records built one at a time through the public constructor."""
+    return [
+        AlertRecord(
+            record["alertNumber"],
+            product=record.get("product") or "",
+            risk_types=_parse_risks(record.get("risk"), 0),
+            description=record.get("description") or "",
+        )
+        for record in records
+    ]
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
     st.lists(usable_records(), max_size=6),
     st.one_of(st.none(), st.sampled_from(sorted(MUTATIONS))),
     st.integers(min_value=0),
 )
-def test_the_whole_file_and_the_per_record_reader_agree(records, mutation, position):
+def test_the_first_unusable_record_is_named_and_a_usable_file_is_read_exactly(records, mutation, position):
+    expected = None
     if mutation is not None:
         records = records or [{"alertNumber": "A1"}]
         position %= len(records)
-        records[position] = MUTATIONS[mutation](records[position])
+        change, expected = MUTATIONS[mutation]
+        records[position] = change(records[position])
     text = json.dumps(records)
-    whole = _outcome(text)
-    with mock.patch.object(rapex, "_accept", return_value=None):
-        assert _outcome(text) == whole
-    if mutation is None:
-        assert rapex._accept(json.loads(text), dict(DEFAULT_FIELDS)) == whole
+    if expected is None:
+        assert parse_alert_records(text) == _reference(records)
+        assert rapex._accept(json.loads(text), dict(DEFAULT_FIELDS)) == _reference(records)
+    else:
+        with pytest.raises(MalformedRecordError) as exc_info:
+            parse_alert_records(text)
+        assert exc_info.value.index == position + 1
+        assert str(exc_info.value) == f"record {position + 1}: {expected}"
+
+
+def test_null_product_and_description_are_read_whole_as_absent():
+    text = json.dumps([{"alertNumber": "A1", "product": None, "risk": "burn", "description": None}] * 3)
+    records = rapex._accept(json.loads(text), dict(DEFAULT_FIELDS))
+    assert records == [AlertRecord("A1", risk_types=("burn",))] * 3
+    with mock.patch.object(rapex, "_accept", wraps=rapex._accept) as accept:
+        assert parse_alert_records(text) == records
+    accept.assert_called_once()
