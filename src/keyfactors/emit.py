@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import repeat, starmap
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
@@ -107,25 +108,27 @@ def _norm_texts(axis_sums: tuple[int, ...], norms: tuple[float, ...]) -> list[st
 
 
 _CATEGORY_TEXT = {category: category.value for category in FactorCategory}
+_REPORT_ROW = ",".join(["{}"] * len(REPORT_COLUMNS)) + "\n"
 
 
 def export_report_csv(scores: Sequence[FactorScore]) -> str:
-    """One row per factor in id order, norms printed with one decimal; rows are zipped from whole columns."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    """One row per factor in id order, norms printed with one decimal; rows are formatted from whole columns."""
+    text = _REPORT_ROW.format(*REPORT_COLUMNS)
     if scores:
         factors, active, passive, active_norm, passive_norm, active_rank, passive_rank, regions, keys = zip(*scores)
         categories, names, _, ids = zip(*factors)
+        # Only a name can need quoting. Each is quoted as the first of two cells: alone, an empty one is written "".
+        quoted: list[str] = []
+        csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows(zip(names, repeat("")))
         region_text = {region: region.value for region in set(regions)}
         rows = zip(
-            ids, map(_CATEGORY_TEXT.__getitem__, categories), names,
+            ids, map(_CATEGORY_TEXT.__getitem__, categories), map(itemgetter(slice(-2)), quoted),
             active, _norm_texts(active, active_norm), active_rank,
             passive, _norm_texts(passive, passive_norm), passive_rank,
             map(region_text.__getitem__, regions), map(("false", "true").__getitem__, keys),
         )
-        writer.writerows(sorted(rows, key=itemgetter(0)))
-    return buffer.getvalue()
+        text += "".join(starmap(_REPORT_ROW.format, sorted(rows, key=itemgetter(0))))
+    return text
 
 
 # One marker element per Region value (keyed by value, so that this module

@@ -968,6 +968,20 @@ def test_empty_sums_rows_are_skipped_with_a_warning(tmp_path, capsys):
     assert (tmp_path / "padded.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
 
 
+def test_empty_sums_rows_above_the_header_are_skipped_with_a_warning(tmp_path, capsys):
+    plain = write(tmp_path, "plain.csv", SUMS_TABLE)
+    above = write(tmp_path, "above.csv", ",,,,\n\n , ,,,\n" + SUMS_TABLE)
+    assert main(["analyze", "--from-sums", plain, "-o", str(tmp_path / "plain.out")]) == 0
+    assert main(["analyze", "--from-sums", above, "-o", str(tmp_path / "above.out")]) == 0
+    # The header is the first row with a cell that is not blank.
+    assert capsys.readouterr().err == (
+        f"{above}: line 1: warning: empty row skipped\n{above}: line 3: warning: empty row skipped\n"
+    )
+    assert (tmp_path / "above.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+    assert main(["analyze", "--strict", "--from-sums", above, "-o", str(tmp_path / "strict.out")]) == 1
+    assert not (tmp_path / "strict.out").exists()
+
+
 def test_a_chain_file_given_twice_counts_twice_with_a_warning(tmp_path, capsys):
     path = write(tmp_path, "a.chains", CHAIN_DOC)
     link = tmp_path / "b.chains"

@@ -215,6 +215,8 @@ def sums_tables(draw):
 @example(SumsTable((), (), ()), AnalysisConfig())
 @example(SumsTable(_factors("a", "b"), (0, 0), (0, 0)), AnalysisConfig())
 @example(SumsTable(_factors('x, "y"\r\n', "ä日"), (49, 400), (1, 80)), AnalysisConfig())
+# The quoting cases: an empty name (written as nothing, not ""), a lone quote, a lone CR (quoted from Python 3.13).
+@example(SumsTable(_factors("", '"', "a\rb"), (3, 0, 1), (0, 2, 2)), AnalysisConfig())
 def test_report_csv_is_byte_identical_to_the_per_row_writer(table, cfg):
     scores = analyze(table, cfg)
     assert export_report_csv(scores) == reference_report_csv(scores)

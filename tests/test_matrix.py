@@ -1,4 +1,9 @@
+import csv
+import io
+import re
 import tracemalloc
+from operator import itemgetter
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +12,17 @@ from hypothesis import strategies as st
 from corpus import chain_sets, failure_chains
 from keyfactors.model import validate_chain
 from keyfactors.matrix import (
+    SUMS_COLUMNS,
     RelationshipMatrix,
+    SumsTable,
     brute_force_sums,
     build_matrix,
     merge,
+    parse_sums_table,
     sums,
 )
 from keyfactors.model import (
+    _UNWRITABLE,
     EMPTY_NAME,
     HARM_NOT_TERMINAL,
     MISSING_HARM,
@@ -21,8 +30,11 @@ from keyfactors.model import (
     TOO_SHORT,
     ChainSet,
     ChainValidationError,
+    Factor,
     FactorCategory,
     FailureChain,
+    Identity,
+    normalize_name,
 )
 
 C = FactorCategory
@@ -330,3 +342,179 @@ def test_the_whole_set_check_rejects_exactly_the_invalid_chains(mode, chain_set,
             build(candidate)
     if not expected:
         assert sums(candidate) == sums(build_matrix(candidate)) == brute_force_sums(candidate)
+
+
+def reference_parse_sums_table(text):
+    """Oracle: the row-at-a-time reader that parse_sums_table replaced; its header is the first row not blank."""
+    reader = csv.reader(io.StringIO(text))
+
+    def read() -> Iterator[list[str]]:
+        # The csv module's own errors, such as a cell over csv.field_size_limit(), become ValueErrors too.
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+    rows = read()
+    warnings: list[str] = []
+    header = []
+    for cells in rows:
+        if any(map(str.strip, cells)):
+            header = [cell.strip() for cell in cells]
+            break
+        if cells:
+            warnings.append(f"line {reader.line_num}: warning: empty row skipped")
+    missing = [c for c in SUMS_COLUMNS if c not in header]
+    if missing:
+        hint = ""
+        if set(SUMS_COLUMNS) <= {part.strip() for part in ",".join(header).split(";")}:
+            hint = " (the file looks semicolon-delimited; sums tables must be comma-separated)"
+        raise ValueError(f"missing columns: {', '.join(missing)}{hint}")
+    for column in SUMS_COLUMNS:
+        if header.count(column) > 1:
+            raise ValueError(f"line {reader.line_num}: column {column!r} appears twice")
+    pick = itemgetter(*map(header.index, SUMS_COLUMNS))
+    unwritable = re.compile(_UNWRITABLE).search
+    factors: list[Factor] = []
+    active: list[int] = []
+    passive: list[int] = []
+    seen_ids: set[int] = set()
+    seen_identities: set[Identity] = set()
+    for cells in rows:
+        where = f"line {reader.line_num}"
+        if not any(map(str.strip, cells)):
+            if cells:
+                warnings.append(f"{where}: warning: empty row skipped")
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{where}: {len(cells)} cells, but the header has {len(header)}")
+        id_text, category_text, name, active_text, passive_text = pick(cells)
+        factor_id, active_sum, passive_sum = (
+            _whole_number(where, column, cell)
+            for column, cell in (("id", id_text), ("active_sum", active_text), ("passive_sum", passive_text))
+        )
+        if factor_id == 0:
+            raise ValueError(f"{where}: id must be positive")
+        control = unwritable(name)
+        if control:
+            raise ValueError(f"{where}: name holds control character U+{ord(control[0]):04X}")
+        try:
+            category = FactorCategory.parse(category_text)
+            key = normalize_name(name)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if factor_id in seen_ids:
+            raise ValueError(f"{where}: duplicate id {factor_id}")
+        if (category, key) in seen_identities:
+            raise ValueError(f"{where}: duplicate factor {name!r}")
+        seen_ids.add(factor_id)
+        seen_identities.add((category, key))
+        if category is FactorCategory.HARM and active_sum:
+            warnings.append(
+                f"{where}: warning: harm {name.strip()!r} has active sum {active_sum}; a harm ends every chain"
+            )
+        factors.append(Factor(category, name.strip(), key, factor_id))
+        active.append(active_sum)
+        passive.append(passive_sum)
+    if sum(active) != sum(passive):
+        warnings.append(f"warning: total active sum {sum(active)} != total passive sum {sum(passive)}")
+    return SumsTable(tuple(factors), tuple(active), tuple(passive)), warnings
+
+
+def _whole_number(where: str, column: str, text: str) -> int:
+    """A cell in ASCII digits, blanks around it stripped; int() alone would take 1_2 or other scripts' digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{where}: {column} {text!r} is not a whole number")
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ValueError(f"{where}: {column} has {len(text)} digits, too many to read") from None
+
+
+SUMS_HEADER = "id,category,name,active_sum,passive_sum\n"
+TOO_LONG = "9" * 5000  # over the 4,300 digits int() reads by default
+OVERSIZED = "x" * (csv.field_size_limit() + 1)
+
+def _set(**cells):
+    return lambda rows, i: rows[i].update(cells)
+
+
+# Each mutation takes the rows (dicts of column: cell) and a row index, and changes that row.
+SUMS_MUTATIONS = {
+    **{f"{column} not a number": _set(**{column: " 1_2"}) for column in ("id", "active_sum", "passive_sum")},
+    **{f"{column} too long": _set(**{column: TOO_LONG}) for column in ("id", "active_sum", "passive_sum")},
+    "id 0": _set(id="0"),
+    "control in name": lambda rows, i: rows[i].update(name=rows[i]["name"] + "\x01"),
+    "blank name": _set(name=" \t "),
+    "unknown category": _set(category="ctrl"),
+    "duplicate id": lambda rows, i: rows[i].update(id=rows[i - 1]["id"]),
+    "duplicate factor": lambda rows, i: rows[i].update(
+        name=f" {rows[i - 1]['name'].swapcase()} ", category=rows[i - 1]["category"].upper()
+    ),
+    "a cell too many": _set(extra="x"),
+    "a cell too few": _set(drop=True),
+    "oversized cell": _set(name=OVERSIZED),
+}
+
+sums_name_texts = st.text(alphabet=st.sampled_from(["a", "B", " ", ",", '"', "\t", "\n", "\u00e4"]), max_size=5)
+
+
+@st.composite
+def sums_texts(draw):
+    """Sums tables of 0-60 rows: columns in any order, padding, awkward names, CRLF, blank and empty rows, faults."""
+    columns = draw(st.permutations(SUMS_COLUMNS + ["note"] * draw(st.booleans())))
+    n = draw(st.integers(min_value=0, max_value=60))
+    ids = draw(st.permutations(range(1, n + 1)))
+    categories = draw(st.lists(st.sampled_from(["component", "Control Factor", " HARM ", "harm", "effect"]),
+                               min_size=n, max_size=n))
+    sums = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=n, max_size=n))
+    names = draw(st.lists(sums_name_texts, min_size=n, max_size=n))
+    pad = draw(st.sampled_from(["", " ", "  "]))
+    rows = [
+        dict(id=f"{pad}{i}", category=category, name=f"{name}{k}", active_sum=str(a), passive_sum=f"{p}{pad}", note="n")
+        for k, (i, category, name, (a, p)) in enumerate(zip(ids, categories, names, sums))
+    ]
+    for kind in draw(st.lists(st.sampled_from(sorted(SUMS_MUTATIONS)), max_size=3)):
+        low = kind.startswith("duplicate")  # a duplicate copies the row above
+        if n > low:
+            SUMS_MUTATIONS[kind](rows, draw(st.integers(min_value=low, max_value=n - 1)))
+    lines = [[f"{pad}{column}" for column in columns]] + [
+        [row[column] for column in columns][: len(columns) - ("drop" in row)] + ["x"] * ("extra" in row)
+        for row in rows
+    ]
+    # Empty rows and blank lines anywhere, the header's place included.
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        empty = draw(st.sampled_from([[], [""] * len(columns), [" "] * len(columns), [""] * 2]))
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), empty)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(lines)
+    return buffer.getvalue()
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(sums_texts())
+# An id too long for int() before an active sum that is not a number: the id is named.
+@example(SUMS_HEADER + f"{TOO_LONG},component,a,x,0\n")
+# A duplicate id before a later row's non-number.
+@example(SUMS_HEADER + "1,component,a,1,0\n1,component,b,1,0\n2,component,c,1.5,0\n")
+# A factor spelled differently twice.
+@example(SUMS_HEADER + "1,component,Dry  Air,1,0\n2,Component, dry air ,1,0\n")
+# A quoted name spanning lines, before an error: the error's line counts both lines of the name.
+@example(SUMS_HEADER + '1,component,"a\nb",1,0\n2,ctrl,c,1,0\n')
+# An oversized cell after an earlier bad row: the bad row is named, not the csv module's refusal.
+@example(SUMS_HEADER + f"1,ctrl,a,1,0\n2,component,{OVERSIZED},1,0\n")
+@example(SUMS_HEADER + f"1,component,a,1,1\n2,component,{OVERSIZED},1,0\n")
+# Empty rows above the header are skipped with a warning.
+@example(",,,,\n\n , ,,,\n" + SUMS_HEADER + "1,harm,a,2,2\n")
+@example("")
+def test_the_column_reader_agrees_with_the_row_reader(text):
+    expected = outcome(reference_parse_sums_table, text)
+    assert repr(outcome(parse_sums_table, text)) == repr(expected)
