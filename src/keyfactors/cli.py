@@ -326,10 +326,10 @@ class _Exit(Exception):
         self.code, self.message = code, message
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline: str | None = None) -> str:
     # utf-8-sig drops the byte order mark that spreadsheet exports write.
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
             return handle.read()
     except UnicodeDecodeError:
         # The decoder counts positions from the start of its chunk, so the
@@ -339,7 +339,7 @@ def _read_text(path: str) -> str:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # Lines as text mode reads them (universal newlines), columns in characters.
+            # Lines end at LF, CR or CRLF, as text mode reads them; columns count characters.
             text = data[: exc.start].decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
             line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
             raise _Exit(2, f"{path}:{line}:{column}: error: not UTF-8 (byte 0x{data[exc.start]:02X})") from None
@@ -351,7 +351,7 @@ def _read_sums(args: argparse.Namespace) -> SumsTable:
     from keyfactors.matrix import parse_sums_table
 
     path = args.from_sums
-    text = _read_text(path)
+    text = _read_text(path, newline="")  # as written: a CR in a quoted name stays a CR
     try:
         table, warnings = parse_sums_table(text)
     except ValueError as exc:

@@ -1,19 +1,18 @@
 """Deterministic exporters: matrix CSV, score report CSV, scatter SVG, DOT.
 
-Equal inputs always produce byte-identical output. CSVs use RFC-4180
-style quoting, UTF-8, and LF line endings; decimal separators are
-periods. Zero matrix cells print as empty strings so the grid keeps the
-sparse look of the source diagrams. The report prints each norm from its
+Equal inputs always produce byte-identical output. CSVs are UTF-8 with
+LF line endings, and both quote by one RFC 4180 rule: a text cell is put
+in double quotes, each quote doubled, exactly when it holds a comma, a
+quote, CR or LF. Every other cell is an integer, empty or a fixed word.
+Decimal separators are periods. Zero matrix cells print as empty strings
+so the grid keeps the sparse look of the source diagrams. The report prints each norm from its
 integer sum and axis maximum, rounded half up exactly; no float is printed.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from itertools import repeat, starmap
+from itertools import starmap
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from keyfactors.matrix import RelationshipMatrix, competition_rank, sums
@@ -38,6 +37,13 @@ def y_pixel(active_norm: float) -> float:
     return _CANVAS - _MARGIN - active_norm / 100.0 * (_CANVAS - 2 * _MARGIN)
 
 
+def _quoted(text: str) -> str:
+    """A text cell: in double quotes, each quote doubled, exactly when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def export_matrix_csv(matrix: RelationshipMatrix) -> str:
     """Matrix grid with trailing active sum/rank columns and passive rows.
 
@@ -45,40 +51,31 @@ def export_matrix_csv(matrix: RelationshipMatrix) -> str:
     Grid cells are integers or empty and never need quoting, so each grid
     row is its quoted label followed by comma runs between the nonzero
     cells: the work is O(factors + edges), and the n² empty cells are
-    written by string repetition. The header and the passive rows go
-    through csv.writer.
+    written by string repetition.
     """
     table = sums(matrix)
     active_ranks = competition_rank(table.active)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    labels = [factor.label for factor in matrix.factors]
-    writer.writerow([""] + labels + ["active_sum", "active_rank"])
-    # The terminator must be "\n" and sliced off: a writer whose terminator
-    # is "" does not quote a label holding "\n" (Python 3.11).
-    quoted: list[str] = []
-    csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows(
-        [label] for label in labels
-    )
+    labels = [_quoted(factor.label) for factor in matrix.factors]
+    rows = [",".join(["", *labels, "active_sum", "active_rank"]) + "\n"]
     n = matrix.size
     end = ((-1, -1), 0)  # after the last edge: a row no factor has
     edges = iter(matrix.edges.items())
     (r, c), count = next(edges, end)
     for i in range(n):
-        row = [quoted[i][:-1]]
+        row = [labels[i]]
         written = 0  # grid cells of this row written so far
         while r == i:
             row.append(f"{',' * (c - written + 1)}{count}")
             written = c + 1
             (r, c), count = next(edges, end)
         row.append(f"{',' * (n - written)},{table.active[i]},{active_ranks[i]}\n")
-        # One write per row: a write per cell run raised the matrix command's
-        # peak RSS by 1.9 MiB at 1,456 factors (Python 3.11).
-        buffer.write("".join(row))
+        # One string per row: writing each cell run on its own raised the matrix
+        # command's peak RSS by 1.9 MiB at 1,456 factors (Python 3.11).
+        rows.append("".join(row))
     if n:
-        writer.writerow(["passive_sum"] + list(table.passive) + ["", ""])
-        writer.writerow(["passive_rank"] + list(competition_rank(table.passive)) + ["", ""])
-    return buffer.getvalue()
+        rows.append(f"passive_sum,{','.join(map(str, table.passive))},,\n")
+        rows.append(f"passive_rank,{','.join(map(str, competition_rank(table.passive)))},,\n")
+    return "".join(rows)
 
 
 REPORT_COLUMNS = [
@@ -117,12 +114,9 @@ def export_report_csv(scores: Sequence[FactorScore]) -> str:
     if scores:
         factors, active, passive, active_norm, passive_norm, active_rank, passive_rank, regions, keys = zip(*scores)
         categories, names, _, ids = zip(*factors)
-        # Only a name can need quoting. Each is quoted as the first of two cells: alone, an empty one is written "".
-        quoted: list[str] = []
-        csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows(zip(names, repeat("")))
         region_text = {region: region.value for region in set(regions)}
         rows = zip(
-            ids, map(_CATEGORY_TEXT.__getitem__, categories), map(itemgetter(slice(-2)), quoted),
+            ids, map(_CATEGORY_TEXT.__getitem__, categories), map(_quoted, names),  # only a name can need quoting
             active, _norm_texts(active, active_norm), active_rank,
             passive, _norm_texts(passive, passive_norm), passive_rank,
             map(region_text.__getitem__, regions), map(("false", "true").__getitem__, keys),

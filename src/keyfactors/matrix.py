@@ -114,9 +114,9 @@ def parse_sums_table(text: str) -> tuple[SumsTable, list[str]]:
     the first row with a cell not blank. A row of empty cells, such as the
     ``,,,,`` a spreadsheet writes below its data, is skipped with a warning; a
     harm with a nonzero active sum, and totals that differ, get one each. Line
-    numbers count the text's lines.
+    numbers count the text's lines, each ended by LF, CRLF or a lone CR.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows: list[list[str]] = []
     refusal = None
     try:
@@ -213,7 +213,7 @@ def _lines(text: str, rows: list[list[str]]) -> Sequence[int]:
     """The line each of the rows read from text ends on: row i is on line i + 1 unless a record spans lines."""
     if "\r" not in text and len(rows) == text.count("\n") + (not text.endswith("\n")):
         return range(1, len(rows) + 1)
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     return [reader.line_num for _ in itertools.islice(reader, len(rows))]
 
 

@@ -184,6 +184,8 @@ class _Memo(dict):
 
 
 _IDENTITIES = _Memo(lambda step: (step[0], normalize_name(step[1])))
+_FIRST = operator.itemgetter(0)
+_LAST = operator.itemgetter(-1)
 
 
 def _all_valid(step_lists: Sequence[Sequence[Step]], steps: Sequence[Step], keys: Sequence) -> bool:
@@ -201,9 +203,8 @@ def _all_valid(step_lists: Sequence[Sequence[Step]], steps: Sequence[Step], keys
     harm = FactorCategory.HARM
     return not (
         min(map(len, step_lists), default=2) < 2
-        or operator.countOf(map(operator.itemgetter(0), map(operator.itemgetter(-1), step_lists)), harm)
-        != len(step_lists)
-        or operator.countOf(map(operator.itemgetter(0), steps), harm) != len(step_lists)
+        or operator.countOf(map(_FIRST, map(_LAST, step_lists)), harm) != len(step_lists)
+        or operator.countOf(map(_FIRST, steps), harm) != len(step_lists)
         or any(map(operator.eq, keys, keys[1:]))
     )
 
@@ -229,13 +230,7 @@ def validate_chain(chain: FailureChain) -> list[Violation]:
     except EmptyNameError:
         pass
     else:
-        categories = [category for category, _ in steps]
-        if (
-            len(steps) >= 2
-            and categories[-1] is FactorCategory.HARM
-            and categories.count(FactorCategory.HARM) == 1
-            and not any(map(operator.eq, idents, idents[1:]))
-        ):
+        if _all_valid((steps,), steps, idents):  # the set rule, on a set of one chain
             return []
     violations: list[Violation] = []
     n = len(steps)

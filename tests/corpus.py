@@ -1,19 +1,35 @@
 """Shared chain-set generators: hypothesis strategies for property tests
-and a seeded random builder for the large acceptance corpora."""
+and a seeded random builder for the large acceptance corpora; and the CSV
+row writer the oracles share."""
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 from hypothesis import strategies as st
 
 from keyfactors.model import ChainSet, FactorCategory, FailureChain, normalize_name
 
+
+def csv_row(cells, end="\n"):
+    """One RFC 4180 row from csv.writer, ending in ``end``.
+
+    The writer's terminator is CRLF and then replaced: a writer quotes a cell
+    holding a character of its terminator on every Python, but one whose
+    terminator is LF leaves a lone CR unquoted before Python 3.13.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + end
+
+
 NON_HARM = [c for c in FactorCategory if c is not FactorCategory.HARM]
 
 NAME_CHARS = (
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    " []()/.-_#\"'\\\t\näöüß"
+    " []()/.-_#\"'\\\t\n\räöüß"
 )
 HEADER_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789 /#.-"
 

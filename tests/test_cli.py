@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 from keyfactors import cli
+from keyfactors.analysis import analyze
 from keyfactors.cli import main
+from keyfactors.emit import export_report_csv
+from keyfactors.matrix import parse_sums_table
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -259,6 +262,33 @@ def test_analyze_reads_sums_csv_with_byte_order_mark(tmp_path, capsys):
     assert main(["analyze", "--from-sums", bom_path]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (plain, "")
+
+
+def report_from_sums(tmp_path, capsys, data):
+    """The report --from-sums prints for a table of these bytes, and the one of the same file read with newline=""."""
+    path = tmp_path / "sums.csv"
+    path.write_bytes(data)
+    assert main(["analyze", "--from-sums", str(path)]) == 0
+    with open(path, encoding="utf-8", newline="") as handle:
+        table, _ = parse_sums_table(handle.read())
+    return capsys.readouterr().out, export_report_csv(analyze(table))
+
+
+@pytest.mark.parametrize(("terminator", "name"), [("\n", "a\rb"), ("\r\n", "a\r\nb"), ("\n", "a\r\nb")])
+def test_a_quoted_sums_name_keeps_its_cr(tmp_path, capsys, terminator, name):
+    rows = ["id,category,name,active_sum,passive_sum", f'1,component,"{name}",1,0', "2,harm,h,0,1", ""]
+    printed, expected = report_from_sums(tmp_path, capsys, terminator.join(rows).encode())
+    assert printed == expected
+    assert f'\n1,component,"{name}",1,' in printed
+
+
+def test_a_cr_only_sums_table_reads_as_its_lf_copy(tmp_path, capsys):
+    # Spreadsheets on classic Mac end each row with a lone CR.
+    lf = (DATA / "table1_as_printed.csv").read_bytes()
+    assert b"\r" not in lf
+    cr_only = report_from_sums(tmp_path, capsys, lf.replace(b"\n", b"\r"))
+    assert cr_only == report_from_sums(tmp_path, capsys, lf)
+    assert cr_only[0] == cr_only[1]
 
 
 def test_output_file_mode_follows_umask(tmp_path):
@@ -665,6 +695,15 @@ def test_output_digests_script_prints_the_same_lines_twice():
     assert skeletons and all(stream.startswith("skeletons/") for stream in skeletons)
 
 
+def test_awkward_names_print_the_committed_digests():
+    # Names holding CR, LF, quotes and commas, in a chain file and in a CRLF sums table:
+    # every interpreter must print these same bytes, which the csv module's quoting did not.
+    script = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), str(ROOT / "tests" / "data" / "awkward")]
+    result = subprocess.run(script, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (ROOT / "tests" / "data" / "awkward_digests.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("workload", ["chains-large", "factors-wide", "intake"])
 def test_generated_corpora_print_the_committed_digests(tmp_path, workload):
     # Criterion 8 beyond the fixtures, on three seed-11 corpora of the benchmark:
@@ -769,6 +808,13 @@ BAD_INPUTS = [
         ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
         "cp1252.csv",
         "\ufeff".encode("utf-8") + SUMS_TABLE.encode("cp1252"),
+        2,
+        "{path}:2:16: error: not UTF-8 (byte 0xE4)",
+    ),
+    (
+        ["analyze", "--from-sums", "{path}", "-o", "{tmp}/out.csv"],
+        "cr-cp1252.csv",
+        SUMS_TABLE.replace("\n", "\r").encode("cp1252"),
         2,
         "{path}:2:16: error: not UTF-8 (byte 0xE4)",
     ),
@@ -935,7 +981,7 @@ BAD_INPUTS = [
     ("argv", "name", "data", "code", "first_line"),
     BAD_INPUTS,
     ids=[
-        "cp1252-chains", "crlf-chains", "cp1252-sums", "utf16-sums", "semicolon-sums", "semicolon-padded-sums",
+        "cp1252-chains", "crlf-chains", "cp1252-sums", "cr-cp1252-sums", "utf16-sums", "semicolon-sums", "semicolon-padded-sums",
         "latin1-alerts", "underscore-sum", "arabic-indic-sum", "plus-sign-sum", "decimal-sum", "unknown-category",
         "negative-id", "zero-id", "too-many-digits", "sixth-cell", "fourth-cell", "column-twice",
         "oversized-cell", "control-in-name", "empty-rows-strict", "deep-alerts", "no-text-strict",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from corpus import chain_sets
+from corpus import chain_sets, csv_row
 from keyfactors.analysis import AnalysisConfig, analyze
 from keyfactors.emit import (
     export_dot,
@@ -88,20 +88,18 @@ def reference_matrix_csv(matrix):
     table = sums(matrix)
     active_ranks = competition_rank(table.active)
     passive_ranks = competition_rank(table.passive)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     labels = [factor.label for factor in matrix.factors]
-    writer.writerow([""] + labels + ["active_sum", "active_rank"])
+    rows = [[""] + labels + ["active_sum", "active_rank"]]
     for i, factor in enumerate(matrix.factors):
         cells = [""] * matrix.size
         for (r, c), value in matrix.edges.items():
             if r == i:
                 cells[c] = value
-        writer.writerow([factor.label] + cells + [table.active[i], active_ranks[i]])
+        rows.append([factor.label] + cells + [table.active[i], active_ranks[i]])
     if matrix.factors:
-        writer.writerow(["passive_sum"] + list(table.passive) + ["", ""])
-        writer.writerow(["passive_rank"] + list(passive_ranks) + ["", ""])
-    return buffer.getvalue()
+        rows.append(["passive_sum"] + list(table.passive) + ["", ""])
+        rows.append(["passive_rank"] + list(passive_ranks) + ["", ""])
+    return "".join(map(csv_row, rows))
 
 
 label_texts = st.text(
@@ -170,11 +168,9 @@ def reference_display(value):
 
 def reference_report_csv(scores):
     """Oracle: the report written one row at a time, its norms rounded from the floats."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    rows = [REPORT_COLUMNS]
     for score in sorted(scores, key=lambda s: s.factor.id):
-        writer.writerow(
+        rows.append(
             [
                 score.factor.id,
                 score.factor.category.value,
@@ -189,7 +185,7 @@ def reference_report_csv(scores):
                 "true" if score.key else "false",
             ]
         )
-    return buffer.getvalue()
+    return "".join(map(csv_row, rows))
 
 
 CONFIGS = [AnalysisConfig(), AnalysisConfig(Decimal("1.5"), Decimal("0.8"), Decimal("100")), AnalysisConfig(4, 0.25, 0)]
@@ -215,7 +211,7 @@ def sums_tables(draw):
 @example(SumsTable((), (), ()), AnalysisConfig())
 @example(SumsTable(_factors("a", "b"), (0, 0), (0, 0)), AnalysisConfig())
 @example(SumsTable(_factors('x, "y"\r\n', "ä日"), (49, 400), (1, 80)), AnalysisConfig())
-# The quoting cases: an empty name (written as nothing, not ""), a lone quote, a lone CR (quoted from Python 3.13).
+# The quoting cases: an empty name (written as nothing, not ""), a lone quote, a lone CR (quoted on every Python).
 @example(SumsTable(_factors("", '"', "a\rb"), (3, 0, 1), (0, 2, 2)), AnalysisConfig())
 def test_report_csv_is_byte_identical_to_the_per_row_writer(table, cfg):
     scores = analyze(table, cfg)

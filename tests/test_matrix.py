@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import chain_sets, failure_chains
+from corpus import chain_sets, csv_row, failure_chains
 from keyfactors.model import validate_chain
 from keyfactors.matrix import (
     SUMS_COLUMNS,
@@ -346,7 +346,7 @@ def test_the_whole_set_check_rejects_exactly_the_invalid_chains(mode, chain_set,
 
 def reference_parse_sums_table(text):
     """Oracle: the row-at-a-time reader that parse_sums_table replaced; its header is the first row not blank."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
 
     def read() -> Iterator[list[str]]:
         # The csv module's own errors, such as a cell over csv.field_size_limit(), become ValueErrors too.
@@ -457,7 +457,7 @@ SUMS_MUTATIONS = {
     "oversized cell": _set(name=OVERSIZED),
 }
 
-sums_name_texts = st.text(alphabet=st.sampled_from(["a", "B", " ", ",", '"', "\t", "\n", "\u00e4"]), max_size=5)
+sums_name_texts = st.text(alphabet=st.sampled_from(["a", "B", " ", ",", '"', "\t", "\n", "\r", "\u00e4"]), max_size=5)
 
 
 @st.composite
@@ -487,9 +487,8 @@ def sums_texts(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         empty = draw(st.sampled_from([[], [""] * len(columns), [" "] * len(columns), [""] * 2]))
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), empty)
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(lines)
-    return buffer.getvalue()
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))  # a lone CR ends the rows of a classic Mac OS export
+    return "".join(csv_row(line, end) for line in lines)
 
 
 def outcome(parse, text):
@@ -509,6 +508,9 @@ def outcome(parse, text):
 @example(SUMS_HEADER + "1,component,Dry  Air,1,0\n2,Component, dry air ,1,0\n")
 # A quoted name spanning lines, before an error: the error's line counts both lines of the name.
 @example(SUMS_HEADER + '1,component,"a\nb",1,0\n2,ctrl,c,1,0\n')
+# Rows ending in a lone CR or in LF, names holding a quoted CR or CRLF, then an error: each CR, LF or CRLF ends a line.
+@example((SUMS_HEADER + '1,component,"a\rb",1,0\n2,component,"c\r\nd",1,0\n3,ctrl,e,1,0\n').replace("\n", "\r"))
+@example(SUMS_HEADER + '1,component,"a\rb",1,0\n2,component,"c\r\nd",1,0\n3,ctrl,e,1,0\n')
 # An oversized cell after an earlier bad row: the bad row is named, not the csv module's refusal.
 @example(SUMS_HEADER + f"1,ctrl,a,1,0\n2,component,{OVERSIZED},1,0\n")
 @example(SUMS_HEADER + f"1,component,a,1,1\n2,component,{OVERSIZED},1,0\n")
