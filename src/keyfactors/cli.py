@@ -24,12 +24,13 @@ returns nothing; a command that cannot go on raises _Exit(code, message).
 Only main turns that into an exit code, after printing the message.
 
 Each handler imports the layers it runs, so `validate` and `import-rapex`
-never load the matrix, analysis or emit layers, and `matrix` and `dot`
-never load analysis; only `import-rapex` loads pathlib, and only a
-threshold option (read exactly, as a Decimal) loads decimal. The readers
-live with their layers (dsl.parse_document, matrix.parse_sums_table,
-rapex.parse_alert_records); this module reads files and reports what
-they say, so csv is loaded only with the matrix layer.
+never load the matrix, analysis or emit layers, `matrix` and `dot` never
+load analysis, and `import-rapex` never loads the chain parser (dsl); only
+`import-rapex` loads pathlib and json, and only a threshold option (read
+exactly, as a Decimal) loads decimal. Each reader has its own module
+(dsl.parse_document, sums_table.parse_sums_table,
+rapex.parse_alert_records) and this module reads files and reports what
+they say, so csv is loaded only with sums_table, by --from-sums.
 
 A command is a short run that leaves few garbage cycles, and the cyclic
 garbage collector's walks over every live object, during the run and at
@@ -348,7 +349,7 @@ def _read_text(path: str, newline: str | None = None) -> str:
 
 def _read_sums(args: argparse.Namespace) -> SumsTable:
     """Load the sums table that --from-sums names and print its warnings, which --strict refuses with _Exit(1)."""
-    from keyfactors.matrix import parse_sums_table
+    from keyfactors.sums_table import parse_sums_table
 
     path = args.from_sums
     text = _read_text(path, newline="")  # as written: a CR in a quoted name stays a CR

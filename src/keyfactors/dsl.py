@@ -54,11 +54,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Union
 
 from keyfactors import model
+from keyfactors.diagnostics import Diagnostic, Severity, _escape_name
 from keyfactors.model import (
     _UNWRITABLE,
     ChainSet,
@@ -70,20 +70,6 @@ from keyfactors.model import (
     _Memo,
     validate_chain,
 )
-
-
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-class Diagnostic(NamedTuple):
-    """A parse or validation finding located in the source document."""
-
-    severity: Severity
-    line: int
-    column: int
-    message: str
 
 
 class _Header:
@@ -124,7 +110,6 @@ _LINE_RE = re.compile(rf'\s*(?:((?i:alert|case)):(.*)|([A-Za-z_]+)\s*"({_NAME})"
 # the first rejected line and caches it.
 _STEP_PREFIX = rf'([A-Za-z_]+)\s*("{_NAME})?'
 _ESCAPE_RE = re.compile(r'\\([\\"nrt])')
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _UNWRITABLE_RE = re.compile(_UNWRITABLE)
 
@@ -300,10 +285,6 @@ def _column(line: str) -> int:
 
 def _unescape(match: re.Match[str]) -> str:
     return _UNESCAPES[match[1]]
-
-
-def _escape_name(name: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in name)
 
 
 def serialize_document(chains: ChainSet) -> str:

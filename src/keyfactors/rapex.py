@@ -26,10 +26,11 @@ from operator import itemgetter, ne
 from types import NoneType
 from typing import Iterable, NamedTuple
 
-from keyfactors.dsl import _UNWRITABLE_RE, Diagnostic, Severity, _escape_name
-from keyfactors.model import DEFAULT_FIELDS
+from keyfactors.diagnostics import Diagnostic, Severity, _escape_name
+from keyfactors.model import _UNWRITABLE, DEFAULT_FIELDS
 
 UNSPECIFIED_CASE = "unspecified"
+_UNWRITABLE_RE = re.compile(_UNWRITABLE)
 
 
 class MalformedRecordError(ValueError):

@@ -15,7 +15,7 @@ from keyfactors import cli
 from keyfactors.analysis import analyze
 from keyfactors.cli import main
 from keyfactors.emit import export_report_csv
-from keyfactors.matrix import parse_sums_table
+from keyfactors.sums_table import parse_sums_table
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -729,7 +729,7 @@ MODULE_PROBE = (
     "from keyfactors.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
     "print(*sorted(m for m in sys.modules if m.startswith('keyfactors')))\n"
-    "watched = ('csv', 'dataclasses', 'decimal', 'inspect', 'pathlib', 'tempfile')\n"
+    "watched = ('csv', 'dataclasses', 'decimal', 'inspect', 'json', 'pathlib', 'tempfile')\n"
     "print('stdlib:', *sorted(m for m in watched if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
@@ -739,22 +739,37 @@ MODULE_PROBE = (
     ("argv", "layers"),
     [
         ([], []),
-        (["validate", *CHAIN_FILES], ["dsl"]),
-        (["analyze", *CHAIN_FILES, "-o", "{tmp}/report.csv"], ["analysis", "dsl", "emit", "matrix"]),
+        (["validate", *CHAIN_FILES], ["diagnostics", "dsl"]),
+        (["analyze", *CHAIN_FILES, "-o", "{tmp}/report.csv"], ["analysis", "diagnostics", "dsl", "emit", "matrix"]),
         (
             ["analyze", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/report.csv"],
-            ["analysis", "emit", "matrix"],
+            ["analysis", "emit", "matrix", "sums_table"],
         ),
-        (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["dsl", "rapex"]),
-        (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["dsl", "emit", "matrix"]),
-        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["dsl", "emit", "matrix"]),
-        (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "dsl", "emit", "matrix"]),
+        (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["diagnostics", "rapex"]),
+        (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["diagnostics", "dsl", "emit", "matrix"]),
+        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["diagnostics", "dsl", "emit", "matrix"]),
+        (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "diagnostics", "dsl", "emit", "matrix"]),
+        (
+            ["plot", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/scatter.svg"],
+            ["analysis", "emit", "matrix", "sums_table"],
+        ),
         (
             ["analyze", *CHAIN_FILES, "--key-threshold", "50", "-o", "{tmp}/report.csv"],
-            ["analysis", "dsl", "emit", "matrix"],
+            ["analysis", "diagnostics", "dsl", "emit", "matrix"],
         ),
     ],
-    ids=["import-cli", "validate", "analyze", "from-sums", "import-rapex", "dot", "matrix", "plot", "key-threshold"],
+    ids=[
+        "import-cli",
+        "validate",
+        "analyze",
+        "from-sums",
+        "import-rapex",
+        "dot",
+        "matrix",
+        "plot",
+        "plot-from-sums",
+        "key-threshold",
+    ],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -764,13 +779,13 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     *_, loaded, stdlib = result.stdout.splitlines()
     assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
     # No command imports dataclasses (which imports inspect) or tempfile; csv comes only
-    # with the matrix layer (emit imports it), only a threshold option, read exactly,
-    # needs decimal, and only import-rapex builds paths with pathlib.
+    # with the sums-table reader, which only --from-sums runs, only a threshold option,
+    # read exactly, needs decimal, and only import-rapex reads JSON and builds paths.
     thresholds = {"--dominant-ratio", "--reactive-ratio", "--key-threshold"}
     expected = [
-        *(["csv"] if "matrix" in layers else []),
+        *(["csv"] if "sums_table" in layers else []),
         *(["decimal"] if thresholds & {*argv} else []),
-        *(["pathlib"] if "rapex" in layers else []),
+        *(["json", "pathlib"] if "rapex" in layers else []),
     ]
     assert stdlib.split() == ["stdlib:", *expected]
 

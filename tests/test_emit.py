@@ -20,8 +20,9 @@ from keyfactors.emit import (
     x_pixel,
     y_pixel,
 )
-from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, competition_rank, parse_sums_table, sums
+from keyfactors.matrix import RelationshipMatrix, SumsTable, build_matrix, competition_rank, sums
 from keyfactors.model import ChainSet, Factor, FactorCategory, FailureChain
+from keyfactors.sums_table import parse_sums_table
 
 C = FactorCategory
 

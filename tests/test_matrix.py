@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from corpus import chain_sets, csv_row, failure_chains
 from keyfactors.model import validate_chain
 from keyfactors.matrix import (
-    SUMS_COLUMNS,
     RelationshipMatrix,
     SumsTable,
     brute_force_sums,
     build_matrix,
     merge,
-    parse_sums_table,
     sums,
 )
 from keyfactors.model import (
@@ -36,6 +34,7 @@ from keyfactors.model import (
     Identity,
     normalize_name,
 )
+from keyfactors.sums_table import SUMS_COLUMNS, parse_sums_table
 
 C = FactorCategory
 

@@ -53,6 +53,21 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     assert result.stdout == "[] True True\n"
 
 
+def test_diagnostic_types_resolve_without_loading_the_chain_parser():
+    # import-rapex reports its warnings as Diagnostics, and must not pay for the parser to do so.
+    probe = (
+        "import sys, keyfactors\n"
+        "keyfactors.Diagnostic, keyfactors.Severity\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('keyfactors.')))\n"
+        "from keyfactors import dsl\n"
+        "print(dsl.Diagnostic is keyfactors.Diagnostic, dsl.Severity is keyfactors.Severity)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "keyfactors.diagnostics\nTrue True\n"
+
+
 def test_every_benchmark_check_catches_an_altered_output():
     # bench/selftest.py runs each check on good outputs, then on each output altered, where it must fail.
     selftest = [sys.executable, str(ROOT / "bench" / "selftest.py")]
