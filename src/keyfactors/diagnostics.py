@@ -2,7 +2,9 @@
 
 dsl reports a document's faults and rapex its duplicate alerts as
 Diagnostics, and both write names quoted as the chain format reads them.
-These live apart from dsl so that import-rapex does not load the parser.
+_ESCAPES is the one table of a quoted name's escapes: dsl derives its
+reader's escape pattern and unescape table from it. These live apart from
+dsl so that import-rapex does not load the parser.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class Diagnostic(NamedTuple):
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 
 
 def _escape_name(name: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in name)
+    return name.translate(_ESCAPE_TABLE)

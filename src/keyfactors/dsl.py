@@ -58,8 +58,9 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple, Union
 
 from keyfactors import model
-from keyfactors.diagnostics import Diagnostic, Severity, _escape_name
+from keyfactors.diagnostics import _ESCAPES, Diagnostic, Severity, _escape_name
 from keyfactors.model import (
+    _CONTROL,
     _UNWRITABLE,
     ChainSet,
     ChainValidationError,
@@ -98,10 +99,13 @@ _Kind = Union[Step, _Header, _LineError, str, None]
 
 _SEPARATOR = "---"
 _STEP_KEYWORDS = {category.value: category for category in FactorCategory}
-# A quoted name's body: no quote, backslash or control character but tab,
-# except in the escapes of _UNESCAPES.
-_NAME_CHAR = r'[^"\\\x00-\x08\n-\x1f\x7f-\x9f]'
-_NAME = rf'{_NAME_CHAR}*(?:\\[\\"nrt]{_NAME_CHAR}*)*'
+# The escapes are the writer's table, diagnostics._ESCAPES, read backwards.
+_UNESCAPES = {escape[1]: char for char, escape in _ESCAPES.items()}
+_ESCAPE_CLASS = f"[{re.escape(''.join(_UNESCAPES))}]"
+# A quoted name's body: no quote, backslash, LF, CR or control character
+# model._CONTROL lists, except in an escape.
+_NAME_CHAR = rf'[^"\\\n\r{_CONTROL}]'
+_NAME = rf"{_NAME_CHAR}*(?:\\{_ESCAPE_CLASS}{_NAME_CHAR}*)*"
 # A header, or a well-formed step line (keyword, optional blanks, one
 # quoted name), with the line's leading and trailing blanks.
 _LINE_RE = re.compile(rf'\s*(?:((?i:alert|case)):(.*)|([A-Za-z_]+)\s*"({_NAME})"\s*)')
@@ -109,9 +113,7 @@ _LINE_RE = re.compile(rf'\s*(?:((?i:alert|case)):(.*)|([A-Za-z_]+)\s*"({_NAME})"
 # line _LINE_RE rejects, the fault is where this stops. re compiles it on
 # the first rejected line and caches it.
 _STEP_PREFIX = rf'([A-Za-z_]+)\s*("{_NAME})?'
-_ESCAPE_RE = re.compile(r'\\([\\"nrt])')
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_UNWRITABLE_RE = re.compile(_UNWRITABLE)
+_ESCAPE_RE = re.compile(rf"\\({_ESCAPE_CLASS})")
 
 
 def parse_document(source: str) -> tuple[ChainSet, list[Diagnostic]]:
@@ -308,7 +310,7 @@ def serialize_document(chains: ChainSet) -> str:
             if "\n" in value or "\r" in value:
                 raise ValueError(f"chain {index}: {field_name} text cannot span lines")
         for number, (_, name) in enumerate(chain.steps, start=1):
-            control = _UNWRITABLE_RE.search(name)
+            control = re.search(_UNWRITABLE, name)
             if control:
                 raise ValueError(
                     f"chain {index}: step {number} name holds control character "

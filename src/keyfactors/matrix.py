@@ -205,12 +205,9 @@ def sums(data: RelationshipMatrix | ChainSet) -> SumsTable:
 
 def competition_rank(values: Sequence[int]) -> tuple[int, ...]:
     """Descending "1224" ranking: rank = 1 + number of strictly greater values."""
-    ordered = sorted(values, reverse=True)
-    first_position: dict[int, int] = {}
-    for position, value in enumerate(ordered, start=1):
-        if value not in first_position:
-            first_position[value] = position
-    return tuple(first_position[value] for value in values)
+    # Sorted ascending, a value's last place is followed by exactly the greater values: 1 + their count is its rank.
+    rank = dict(zip(sorted(values), range(len(values), 0, -1)))
+    return tuple(map(rank.__getitem__, values))
 
 
 def brute_force_sums(chains: ChainSet) -> SumsTable:

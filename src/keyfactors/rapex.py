@@ -30,7 +30,6 @@ from keyfactors.diagnostics import Diagnostic, Severity, _escape_name
 from keyfactors.model import _UNWRITABLE, DEFAULT_FIELDS
 
 UNSPECIFIED_CASE = "unspecified"
-_UNWRITABLE_RE = re.compile(_UNWRITABLE)
 
 
 class MalformedRecordError(ValueError):
@@ -144,11 +143,9 @@ def _parse_risks(value: object, index: int) -> tuple[str, ...]:
     if isinstance(value, str):
         items = value.split(",")
     elif isinstance(value, list):
-        items = []
-        for item in value:
-            if not isinstance(item, str):
-                raise MalformedRecordError(index, "risk entries must be strings")
-            items.append(item)
+        if not {*map(type, value)} <= {str}:
+            raise MalformedRecordError(index, "risk entries must be strings")
+        items = value
     else:
         raise MalformedRecordError(index, "risk field must be a string or a list of strings")
     risks = []
@@ -159,7 +156,7 @@ def _parse_risks(value: object, index: int) -> tuple[str, ...]:
         if "\n" in risk or "\r" in risk:
             raise MalformedRecordError(index, "risk text cannot span lines")
         # The risk becomes the harm step's name, which cannot hold such a character.
-        control = _UNWRITABLE_RE.search(risk)
+        control = re.search(_UNWRITABLE, risk)
         if control:
             raise MalformedRecordError(index, f"risk text holds control character U+{ord(control[0]):04X}")
         risks.append(risk)
@@ -185,9 +182,7 @@ def import_rapex(records: list[AlertRecord]) -> tuple[list[tuple[str, str]], lis
     files = []
     for position in sorted(first.values()):
         alert, case = pairs[position]
-        record = records[lines[position] - 1]
-        skeleton = _skeleton(record, case if record.risk_types else None)  # a record without risks has no harm
-        files.append((_unique_file_name(alert, case, used_names), skeleton))
+        files.append((_unique_file_name(alert, case, used_names), _skeleton(records[lines[position] - 1], case)))
     later = list(map(ne, map(first.__getitem__, pairs), itertools.count()))
     texts = {pair: f"duplicate alert/risk pair ({pair[0]!r}, {pair[1]!r}); skipped" for pair in first}
     columns = zip(
@@ -199,8 +194,7 @@ def import_rapex(records: list[AlertRecord]) -> tuple[list[tuple[str, str]], lis
     return files, list(map(tuple.__new__, itertools.repeat(Diagnostic), columns))
 
 
-def _skeleton(record: AlertRecord, risk: str | None) -> str:
-    case = risk if risk is not None else UNSPECIFIED_CASE
+def _skeleton(record: AlertRecord, case: str) -> str:
     lines = [f"alert: {record.alert_number}", f"case: {case}"]
     if record.product.strip():
         lines.append(f"# product: {' '.join(record.product.split())}")
@@ -208,11 +202,11 @@ def _skeleton(record: AlertRecord, risk: str | None) -> str:
     if description:
         lines.append("# description:")
         lines.extend(f"#   {ln}" for ln in description)
-    if risk is None:
-        lines.append("# WARNING: alert lists no risk type; add the terminal harm step")
-    else:
+    if record.risk_types:
         lines.append("# insert the causing steps here, one per line, before the harm")
-        lines.append(f'harm "{_escape_name(risk)}"')
+        lines.append(f'harm "{_escape_name(case)}"')
+    else:
+        lines.append("# WARNING: alert lists no risk type; add the terminal harm step")
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from corpus import chain_sets, failure_chains, mutate_text, random_chain_set
 from keyfactors import dsl
+from keyfactors.diagnostics import _ESCAPES
 from keyfactors.dsl import (
     _STEP_KEYWORDS,
     Diagnostic,
@@ -20,6 +21,7 @@ from keyfactors.dsl import (
     serialize_document,
 )
 from keyfactors.model import (
+    _UNWRITABLE,
     ChainSet,
     ChainValidationError,
     FactorCategory,
@@ -397,6 +399,22 @@ def test_control_character_in_a_name_is_an_error_at_its_column(char, indent):
     assert diagnostics == [Diagnostic(Severity.ERROR, 3, len(indent) + 17, message)]
 
 
+def test_a_name_holds_exactly_the_characters_the_format_can_write():
+    # Every code point below U+3000, the line and paragraph separators
+    # among them: one is read raw in a name unless it is a quote, a
+    # backslash, LF, CR or a character model._UNWRITABLE lists.
+    for point in range(0x3000):
+        char = chr(point)
+        kind = _classify(f'component "x{char}"')
+        if char in '"\\\n\r' or re.search(_UNWRITABLE, char):
+            assert type(kind) is _LineError, hex(point)
+        else:
+            assert kind == (C.COMPONENT, f"x{char}"), hex(point)
+    # Each escape the writer uses reads back as its character.
+    for char in _ESCAPES:
+        assert _classify(f'component "x{_escape_name(char)}y"') == (C.COMPONENT, f"x{char}y")
+
+
 def test_tab_and_escaped_control_characters_stay_valid():
     doc = 'alert: a\ncase: c\ncomponent "a\tb"\neffect "x\\n\\r\\ty"\nharm "h"\n'
     chain_set, diagnostics = parse_document(doc)
@@ -597,6 +615,8 @@ def chain_documents(draw, clean=False):
 @example((False, 'alert: a\nalert: b\ncomponent "x"\nharm "h"\n'))
 @example((False, 'case: c\ncase: d\ncomponent "x"\nharm "h"\n'))
 @example((False, HAIR_DRYER_BURN + "---\n# none\n---\n" + HAIR_DRYER_BURN))
+# A structurally clean document whose name is blank: it is read block by block.
+@example((False, 'alert: a\ncase: c\ncomponent "  "\nharm "h"\n'))
 def test_parse_document_agrees_with_the_reference_reader(document):
     clean, text = document
     with mock.patch.object(dsl, "_read_block", wraps=dsl._read_block) as read_block:

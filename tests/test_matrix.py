@@ -515,6 +515,9 @@ def outcome(parse, text):
 @example(SUMS_HEADER + f"1,component,a,1,1\n2,component,{OVERSIZED},1,0\n")
 # Empty rows above the header are skipped with a warning.
 @example(",,,,\n\n , ,,,\n" + SUMS_HEADER + "1,harm,a,2,2\n")
+# A table the csv module refuses before any header, at its first row or below empty rows.
+@example(f"{OVERSIZED}\n")
+@example(f",,,,\n{OVERSIZED}\n")
 @example("")
 def test_the_column_reader_agrees_with_the_row_reader(text):
     expected = outcome(reference_parse_sums_table, text)
