@@ -6,24 +6,17 @@ case headers, the alert description as comment lines, and the terminal
 harm step; the analyst fills in the preceding steps. Field names in the
 record file are remappable because export schemas vary.
 
-One rule, _accept, says which records are usable, and only it builds
-AlertRecords. It reads each field for all records at once and checks it
-in C-level passes, reads each distinct risk value once, and builds the
-records from those columns, with no Python step per record. A file it
-refuses is checked again by the same rule one record at a time, from the
-first, so the error names the first unusable record and says what is
-wrong with it. import_rapex likewise lists every (alert, risk) pair at
-once, keeps each pair's first occurrence, and writes each distinct
-pair's duplicate warning text once.
+parse_alert_records reads the records in one pass, in file order, and
+checks each in full before the next, so a refused file is named by its
+first unusable record and that record's first failing check. Each
+distinct risk value is read once. import_rapex likewise walks the
+records once, keeping each (alert, risk) pair's first occurrence.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-from operator import itemgetter, ne
-from types import NoneType
 from typing import Iterable, NamedTuple
 
 from keyfactors.diagnostics import Diagnostic, Severity, _escape_name
@@ -63,7 +56,12 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
     """Decode a JSON array of flat records into AlertRecords.
 
     Raises ValueError for a file that is not a JSON array and
-    MalformedRecordError for an unusable record.
+    MalformedRecordError for the first unusable record, at the first check
+    it fails. The checks, in order: the record is an object; its alert
+    field is a string with text that spans no lines; its product and
+    description fields are each a string, null or absent (null reads as
+    absent); its risk value passes _parse_risks; and all its text encodes
+    as UTF-8 (_parse_risks checks the risks', once per distinct value).
     """
     field_map = dict(DEFAULT_FIELDS)
     if fields:
@@ -74,70 +72,45 @@ def parse_alert_records(text: str, fields: dict[str, str] | None = None) -> list
         raise ValueError(f"alert file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError("alert file must be a JSON array of flat records")
-    try:
-        return _accept(data, field_map)
-    except MalformedRecordError as exc:
-        refusal = exc
-    # The same rule, applied to one record at a time, names the first unusable record.
-    for index, raw in enumerate(data, start=1):
-        _accept([raw], field_map, index)
-    raise refusal  # unreachable while the rule refuses a file only for one of its records
-
-
-# The type a decoded risk value is converted to for a key of the risk table: a
-# list becomes a tuple and None the type NoneType. A str or a number converts
-# to itself; an object, or a list holding one or a list, gives no key.
-_RISK_KEY_TYPES = {list: tuple, NoneType: type}
-
-
-def _accept(data: list, field_map: dict[str, str], index: int = 0) -> list[AlertRecord]:
-    """The records of data, or MalformedRecordError(index, why) at the first check that fails.
-
-    The checks, in order: every record is an object; every alert field is
-    a string with text that spans no lines; every product and description
-    field is a string, null or absent (null reads as absent); each distinct
-    risk value passes _parse_risks; and all the text encodes as UTF-8.
-    Each runs as a C-level pass over a whole column, _parse_risks runs once
-    per distinct risk value, and no Python step runs per record.
-    """
-    if not {*map(type, data)} <= {dict}:
-        raise MalformedRecordError(index, "record is not an object")
-    alerts, products, risk_values, descriptions = (
-        list(map(dict.get, data, itertools.repeat(field_map[role]), itertools.repeat(default)))
-        for role, default in (("alert", None), ("product", ""), ("risk", None), ("description", ""))
+    alert_field, product_field, risk_field, description_field = (
+        field_map[role] for role in ("alert", "product", "risk", "description")
     )
-    if not {*map(type, alerts)} <= {str} or not all(stripped := list(map(str.strip, alerts))):
-        raise MalformedRecordError(index, f"missing or empty field {field_map['alert']!r}")
-    joined = "".join(alerts)
-    if "\n" in joined or "\r" in joined:
-        raise MalformedRecordError(index, "alert number cannot span lines")
-    for role, column in (("product", products), ("description", descriptions)):
-        kinds = {*map(type, column)}
-        if not kinds <= {str, NoneType}:
-            raise MalformedRecordError(index, f"field {field_map[role]!r} must be a string")
-        if NoneType in kinds:
-            column[:] = map({None: ""}.get, column, column)
-    types = list(map(type, risk_values))
-    keys = list(map(type.__call__, map(_RISK_KEY_TYPES.get, types, types), risk_values))
-    try:
-        distinct = dict(zip(keys, risk_values))
-    except TypeError:  # a value that gives no key: read each value on its own
-        keys = range(len(risk_values))
-        distinct = dict(enumerate(risk_values))
-    table = {key: _parse_risks(value, index) for key, value in distinct.items()}
-    # JSON escapes can spell lone surrogates, which no output file can hold. An ASCII text holds none,
-    # and joining only the others keeps a file of long descriptions from being copied twice.
-    texts = itertools.chain(alerts, products, descriptions, *table.values())
-    try:
-        "".join(itertools.filterfalse(str.isascii, texts)).encode()
-    except UnicodeEncodeError as exc:
-        raise MalformedRecordError(index, f"text cannot be encoded as UTF-8: {exc.reason}") from None
-    # The columns hold what AlertRecord.__new__ would store, so the records are built without it.
-    columns = zip(stripped, products, map(table.__getitem__, keys), descriptions)
-    return list(map(tuple.__new__, itertools.repeat(AlertRecord), columns))
+    risk_table: dict[object, tuple[str, ...]] = {}  # each usable risk value, a list keyed as a tuple, read once
+    records = []
+    for index, raw in enumerate(data, start=1):
+        if type(raw) is not dict:
+            raise MalformedRecordError(index, "record is not an object")
+        alert = raw.get(alert_field)
+        if type(alert) is not str or not (alert_number := alert.strip()):
+            raise MalformedRecordError(index, f"missing or empty field {alert_field!r}")
+        if "\n" in alert or "\r" in alert:
+            raise MalformedRecordError(index, "alert number cannot span lines")
+        product = raw.get(product_field, "")
+        if type(product) is not str:
+            if product is not None:
+                raise MalformedRecordError(index, f"field {product_field!r} must be a string")
+            product = ""
+        description = raw.get(description_field, "")
+        if type(description) is not str:
+            if description is not None:
+                raise MalformedRecordError(index, f"field {description_field!r} must be a string")
+            description = ""
+        value = raw.get(risk_field)
+        key = tuple(value) if type(value) is list else value
+        try:
+            risks = risk_table.get(key)
+        except TypeError:  # an object, or a list holding one or a list: no key, and _parse_risks refuses it
+            risks = None
+        if risks is None:
+            risks = risk_table[key] = _parse_risks(value, index)
+        _check_utf8(f"{alert}{product}{description}", index)
+        # The fields are what AlertRecord.__new__ would store, so the record is built without it.
+        records.append(tuple.__new__(AlertRecord, (alert_number, product, risks, description)))
+    return records
 
 
 def _parse_risks(value: object, index: int) -> tuple[str, ...]:
+    """The risks a record's risk value lists, or MalformedRecordError(index, why)."""
     if value is None:
         return ()
     if isinstance(value, str):
@@ -160,7 +133,16 @@ def _parse_risks(value: object, index: int) -> tuple[str, ...]:
         if control:
             raise MalformedRecordError(index, f"risk text holds control character U+{ord(control[0]):04X}")
         risks.append(risk)
+    _check_utf8("".join(risks), index)
     return tuple(risks)
+
+
+def _check_utf8(text: str, index: int) -> None:
+    # JSON escapes can spell lone surrogates, which no output file can hold.
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise MalformedRecordError(index, f"text cannot be encoded as UTF-8: {exc.reason}") from None
 
 
 def import_rapex(records: list[AlertRecord]) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
@@ -171,27 +153,19 @@ def import_rapex(records: list[AlertRecord]) -> tuple[list[tuple[str, str]], lis
     Duplicate (alert, risk) pairs are dropped with a warning diagnostic
     whose line number is the 1-based record index.
     """
-    # Every (alert, case) pair of every record, in record order, and the
-    # 1-based index of its record; a record without risks has one pair.
-    pairs = [(record.alert_number, risk) for record in records for risk in record.risk_types or (UNSPECIFIED_CASE,)]
-    counts = map(max, map(len, map(itemgetter(2), records)), itertools.repeat(1))
-    lines = list(itertools.chain.from_iterable(map(itertools.repeat, itertools.count(1), counts)))
-    # Each pair's first occurrence makes its file; every later one is a duplicate.
-    first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))
-    used_names: set[str] = set()
     files = []
-    for position in sorted(first.values()):
-        alert, case = pairs[position]
-        files.append((_unique_file_name(alert, case, used_names), _skeleton(records[lines[position] - 1], case)))
-    later = list(map(ne, map(first.__getitem__, pairs), itertools.count()))
-    texts = {pair: f"duplicate alert/risk pair ({pair[0]!r}, {pair[1]!r}); skipped" for pair in first}
-    columns = zip(
-        itertools.repeat(Severity.WARNING),
-        itertools.compress(lines, later),
-        itertools.repeat(1),
-        map(texts.__getitem__, itertools.compress(pairs, later)),
-    )
-    return files, list(map(tuple.__new__, itertools.repeat(Diagnostic), columns))
+    warnings = []
+    duplicate_texts: dict[tuple[str, str], str] = {}  # each pair seen, to the warning a later occurrence gets
+    used_names: set[str] = set()
+    for index, record in enumerate(records, start=1):
+        for case in record.risk_types or (UNSPECIFIED_CASE,):
+            pair = (record.alert_number, case)
+            if pair in duplicate_texts:
+                warnings.append(Diagnostic(Severity.WARNING, index, 1, duplicate_texts[pair]))
+                continue
+            duplicate_texts[pair] = f"duplicate alert/risk pair ({record.alert_number!r}, {case!r}); skipped"
+            files.append((_unique_file_name(record.alert_number, case, used_names), _skeleton(record, case)))
+    return files, warnings
 
 
 def _skeleton(record: AlertRecord, case: str) -> str:

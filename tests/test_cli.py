@@ -1,9 +1,11 @@
+import argparse
 import collections
 import csv
 import gc
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -654,6 +656,19 @@ def test_unknown_command_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_readme_names_every_command_and_option():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    parser = cli._build_parser()
+    (commands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    names = set(commands.choices)
+    for command in commands.choices.values():
+        names.update(option for action in command._actions for option in action.option_strings)
+    names -= {"-h", "--help"}
+    # Whole words only: "-d" inside "--field-description" does not count.
+    missing = sorted(name for name in names if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", readme))
+    assert missing == []
 
 
 def test_case_study_script_writes_every_documented_output(tmp_path):

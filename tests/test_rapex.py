@@ -1,13 +1,10 @@
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyfactors import rapex
 from keyfactors.dsl import Severity, parse_document
-from keyfactors.model import DEFAULT_FIELDS
 from keyfactors.rapex import (
     AlertRecord,
     MalformedRecordError,
@@ -65,12 +62,31 @@ def test_duplicate_alert_risk_pair_is_deduplicated_with_warning():
     records = [
         AlertRecord("A3", risk_types=("burn",)),
         AlertRecord("A3", risk_types=("burn",)),
+        AlertRecord("A4", risk_types=("burn", "fire", "cut")),
+        AlertRecord("A4", risk_types=("fire", "smoke", "burn")),
+        AlertRecord("A5"),
+        AlertRecord("A5", description="listed again"),
+        AlertRecord("A3", risk_types=("cut", "burn")),
     ]
     files, warnings = import_rapex(records)
-    assert len(files) == 1
-    assert len(warnings) == 1
-    assert warnings[0].severity is Severity.WARNING
-    assert warnings[0].line == 2  # the second record
+    assert [name for name, _ in files] == [
+        "A3__burn.chains",
+        "A4__burn.chains",
+        "A4__fire.chains",
+        "A4__cut.chains",
+        "A4__smoke.chains",
+        "A5__unspecified.chains",
+        "A3__cut.chains",
+    ]
+    # Each warning is at its record's 1-based index, not its pair's, in record and then risk order.
+    assert warnings == [
+        (Severity.WARNING, 2, 1, "duplicate alert/risk pair ('A3', 'burn'); skipped"),
+        (Severity.WARNING, 4, 1, "duplicate alert/risk pair ('A4', 'fire'); skipped"),
+        (Severity.WARNING, 4, 1, "duplicate alert/risk pair ('A4', 'burn'); skipped"),
+        (Severity.WARNING, 6, 1, "duplicate alert/risk pair ('A5', 'unspecified'); skipped"),
+        (Severity.WARNING, 7, 1, "duplicate alert/risk pair ('A3', 'burn'); skipped"),
+    ]
+    assert "listed again" not in files[5][1]  # the first record of a pair makes its file
 
 
 def test_file_names_never_collide():
@@ -225,29 +241,34 @@ def _reference(records):
     st.lists(usable_records(), max_size=6),
     st.one_of(st.none(), st.sampled_from(sorted(MUTATIONS))),
     st.integers(min_value=0),
+    st.one_of(st.none(), st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(min_value=0))),
 )
-def test_the_first_unusable_record_is_named_and_a_usable_file_is_read_exactly(records, mutation, position):
-    expected = None
+def test_the_first_unusable_record_is_named_and_a_usable_file_is_read_exactly(records, mutation, position, later):
+    refusals = []  # (record number, message) of each change the reader must refuse, in record order
     if mutation is not None:
         records = records or [{"alertNumber": "A1"}]
         position %= len(records)
-        change, expected = MUTATIONS[mutation]
-        records[position] = change(records[position])
+        changes = [(position, mutation)]
+        # A second change at a later record: the error still names the earlier one, if it refuses it.
+        if later is not None and position + 1 < len(records):
+            later_mutation, offset = later
+            changes.append((position + 1 + offset % (len(records) - position - 1), later_mutation))
+        for at, name in changes:
+            change, message = MUTATIONS[name]
+            records[at] = change(records[at])
+            if message is not None:
+                refusals.append((at + 1, message))
     text = json.dumps(records)
-    if expected is None:
+    if not refusals:
         assert parse_alert_records(text) == _reference(records)
-        assert rapex._accept(json.loads(text), dict(DEFAULT_FIELDS)) == _reference(records)
     else:
+        index, message = refusals[0]
         with pytest.raises(MalformedRecordError) as exc_info:
             parse_alert_records(text)
-        assert exc_info.value.index == position + 1
-        assert str(exc_info.value) == f"record {position + 1}: {expected}"
+        assert exc_info.value.index == index
+        assert str(exc_info.value) == f"record {index}: {message}"
 
 
 def test_null_product_and_description_are_read_whole_as_absent():
     text = json.dumps([{"alertNumber": "A1", "product": None, "risk": "burn", "description": None}] * 3)
-    records = rapex._accept(json.loads(text), dict(DEFAULT_FIELDS))
-    assert records == [AlertRecord("A1", risk_types=("burn",))] * 3
-    with mock.patch.object(rapex, "_accept", wraps=rapex._accept) as accept:
-        assert parse_alert_records(text) == records
-    accept.assert_called_once()
+    assert parse_alert_records(text) == [AlertRecord("A1", risk_types=("burn",))] * 3
