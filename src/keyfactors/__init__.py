@@ -19,7 +19,7 @@ _EXPORTS = {
     "AnalysisConfig": "analysis",
     "ChainSet": "model",
     "ChainValidationError": "model",
-    "Diagnostic": "diagnostics",
+    "Diagnostic": "model",
     "EmptyNameError": "model",
     "Factor": "model",
     "FactorCategory": "model",
@@ -28,7 +28,7 @@ _EXPORTS = {
     "MalformedRecordError": "rapex",
     "Region": "analysis",
     "RelationshipMatrix": "matrix",
-    "Severity": "diagnostics",
+    "Severity": "model",
     "SumsTable": "matrix",
     "Violation": "model",
     "analyze": "analysis",

@@ -16,7 +16,8 @@ run quietly with exit 2. Without -o, output goes to standard output,
 as UTF-8 whatever its encoding; -o is opened before any input is read.
 File writes are atomic (temp file plus rename), so rerunning with
 unchanged inputs rewrites identical bytes. A rewritten file keeps its
-permission bits; a new one gets the mode open() would give it. A failed
+permission bits; a new one gets the mode open() would give it. A FIFO or
+device named by -o is written in place, not replaced. A failed
 write names the -o path, not the temp file.
 
 Each handler runs straight through (read, compute, render, write) and
@@ -26,8 +27,8 @@ Only main turns that into an exit code, after printing the message.
 Each handler imports the layers it runs, so `validate` and `import-rapex`
 never load the matrix, analysis or emit layers, `matrix` and `dot` never
 load analysis, and `import-rapex` never loads the chain parser (dsl); only
-`import-rapex` loads pathlib and json, and only a threshold option (read
-exactly, as a Decimal) loads decimal. Each reader has its own module
+`import-rapex` loads json, none loads pathlib, and only a threshold option
+(read exactly, as a Decimal) loads decimal. Each reader has its own module
 (dsl.parse_document, sums_table.parse_sums_table,
 rapex.parse_alert_records) and this module reads files and reports what
 they say, so csv is loaded only with sums_table, by --from-sums.
@@ -228,8 +229,6 @@ def _cmd_dot(args: argparse.Namespace) -> None:
 
 
 def _cmd_import_rapex(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
     from keyfactors.rapex import MalformedRecordError, import_rapex, parse_alert_records
 
     with contextlib.suppress(FileNotFoundError):  # -d is checked before the records are read, made after
@@ -245,10 +244,9 @@ def _cmd_import_rapex(args: argparse.Namespace) -> None:
     _write_lines(f"{args.alerts}:record {w.line}: warning: {w.message}\n" for w in warnings)
     if args.strict and warnings:
         raise _Exit(1)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, document in files:
-        path = str(out_dir / name)
+        path = os.path.join(args.out_dir, name)
         with _output(path) as write:
             write(document)
         print(path)
@@ -369,35 +367,45 @@ def _output(path: str | None) -> Iterator[Callable[[str], None]]:
 
     The output is stdout, whatever its encoding, or a new temp file beside
     path that write renames over path; the temp file goes if the block
-    ends otherwise. A directory is refused at once. Errors name path.
+    ends otherwise. A FIFO or device at path is written in place, not
+    replaced, and a directory is refused at once. Errors name path.
     """
     if path is None:
         sys.stdout.flush()
         buffer = getattr(sys.stdout, "buffer", None)  # a text-only stream (io.StringIO, say) takes the text
         yield sys.stdout.write if buffer is None else functools.partial(_write_text, buffer)
         return
-    # O_EXCL on a random name follows no symlink and reuses no file; the
-    # kernel applies the umask (or a default ACL) to 0o666, as open() does.
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     with _named(path):
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        handle = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
+            # O_EXCL on a random name follows no symlink and reuses no file; the
+            # kernel applies the umask (or a default ACL) to 0o666, as open() does.
+            tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+            handle = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        else:  # a FIFO or device, which a rename would replace; a directory fails to open
+            tmp = None
+            handle = open(path, "wb")
     try:
-        with _named(path), contextlib.suppress(FileNotFoundError):  # a replaced file keeps its bits
-            os.fchmod(handle.fileno(), os.stat(path).st_mode & 0o777)
+        if tmp is not None and mode is not None:  # a replaced file keeps its bits
+            with _named(path):
+                os.fchmod(handle.fileno(), mode & 0o777)
 
         def write(text: str) -> None:
             with _named(path):
                 with handle:
                     _write_text(handle, text)
-                os.replace(tmp, path)
+                if tmp is not None:
+                    os.replace(tmp, path)
 
         yield write
     finally:
         handle.close()
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 @contextlib.contextmanager

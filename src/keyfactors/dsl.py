@@ -16,7 +16,8 @@ followed by one step line per event::
 Step keywords are ``component``, ``function``, ``control``, ``noise``,
 ``action``, ``effect`` and ``harm``. Names are double-quoted with
 ``\\"``, ``\\\\``, ``\\n``, ``\\r`` and ``\\t`` escapes; a raw control
-character (Unicode category Cc) other than tab is not allowed in a name.
+character (Unicode category Cc) other than tab is not allowed in a name
+(model._ESCAPES and model._CONTROL, by which rapex writes names too).
 A line whose first non-blank character is ``#`` is a comment; blank
 lines are ignored. Documents are UTF-8 with LF line endings (a trailing
 CR per line is tolerated on input).
@@ -58,17 +59,20 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple, Union
 
 from keyfactors import model
-from keyfactors.diagnostics import _ESCAPES, Diagnostic, Severity, _escape_name
 from keyfactors.model import (
     _CONTROL,
+    _ESCAPES,
     _UNWRITABLE,
     ChainSet,
     ChainValidationError,
+    Diagnostic,
     EmptyNameError,
     FactorCategory,
     FailureChain,
+    Severity,
     Step,
     _Memo,
+    _escape_name,
     validate_chain,
 )
 
@@ -99,7 +103,7 @@ _Kind = Union[Step, _Header, _LineError, str, None]
 
 _SEPARATOR = "---"
 _STEP_KEYWORDS = {category.value: category for category in FactorCategory}
-# The escapes are the writer's table, diagnostics._ESCAPES, read backwards.
+# The escapes are the writer's table, model._ESCAPES, read backwards.
 _UNESCAPES = {escape[1]: char for char, escape in _ESCAPES.items()}
 _ESCAPE_CLASS = f"[{re.escape(''.join(_UNESCAPES))}]"
 # A quoted name's body: no quote, backslash, LF, CR or control character

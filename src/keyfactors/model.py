@@ -9,6 +9,9 @@ spellings of the same factor merge across chains.
 The value types are tuples (NamedTuples, and ChainSet a tuple of its
 chains), so they are immutable, hash and compare by value, and compare
 equal to plain tuples holding the same values.
+
+It also holds what the chain reader and the alert importer share, how a
+name is quoted and Diagnostic, so that import-rapex loads no parser.
 """
 
 from __future__ import annotations
@@ -74,12 +77,18 @@ def normalize_name(raw: str) -> str:
 
 Identity = tuple[FactorCategory, str]
 
-# Control characters a factor name cannot hold, since the chain format
-# cannot write them, even escaped. The one place they are written: every
-# reader of names refuses _UNWRITABLE, and the chain reader's name pattern
-# excludes _CONTROL. A pattern string, compiled on first use.
+# How the chain format quotes a name. _ESCAPES is the one table of its
+# escapes, which the chain reader reads backwards; _CONTROL the one list of
+# the control characters it cannot write, even escaped, which every reader
+# of names refuses (_UNWRITABLE, a pattern compiled on first use).
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _CONTROL = r"\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f"
 _UNWRITABLE = f"[{_CONTROL}]"
+
+
+def _escape_name(name: str) -> str:
+    return name.translate(_ESCAPE_TABLE)
 
 
 class Factor(NamedTuple):
@@ -146,6 +155,20 @@ HARM_NOT_TERMINAL = "HarmNotTerminal"
 MISSING_HARM = "MissingHarm"
 SELF_TRANSITION = "SelfTransition"
 EMPTY_NAME = "EmptyName"
+
+
+class Severity(Enum):
+    ERROR = "error"
+    WARNING = "warning"
+
+
+class Diagnostic(NamedTuple):
+    """A parse or validation finding located in the source document."""
+
+    severity: Severity
+    line: int
+    column: int
+    message: str
 
 
 class Violation(NamedTuple):

@@ -10,7 +10,8 @@ parse_alert_records reads the records in one pass, in file order, and
 checks each in full before the next, so a refused file is named by its
 first unusable record and that record's first failing check. Each
 distinct risk value is read once. import_rapex likewise walks the
-records once, keeping each (alert, risk) pair's first occurrence.
+records once, keeping each (alert, risk) pair's first occurrence. It
+quotes names by model's rule and warns in Diagnostics, loading no parser.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import json
 import re
 from typing import Iterable, NamedTuple
 
-from keyfactors.diagnostics import Diagnostic, Severity, _escape_name
-from keyfactors.model import _UNWRITABLE, DEFAULT_FIELDS
+from keyfactors.model import _UNWRITABLE, DEFAULT_FIELDS, Diagnostic, Severity, _escape_name
 
 UNSPECIFIED_CASE = "unspecified"
 

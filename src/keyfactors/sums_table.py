@@ -17,7 +17,7 @@ import io
 import itertools
 import re
 from operator import and_, gt, is_, ne, not_
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 from keyfactors.matrix import SumsTable
 from keyfactors.model import _UNWRITABLE, Factor, FactorCategory, normalize_name
@@ -129,9 +129,7 @@ def _parsed(parse: Callable[[str], object], cell: str) -> object:
         return str(exc)
 
 
-def _lines(text: str, rows: list[list[str]]) -> Sequence[int]:
-    """The line each of the rows read from text ends on: row i is on line i + 1 unless a record spans lines."""
-    if "\r" not in text and len(rows) == text.count("\n") + (not text.endswith("\n")):
-        return range(1, len(rows) + 1)
+def _lines(text: str, rows: list[list[str]]) -> list[int]:
+    """The line each of the rows read from text ends on, as the csv reader counts them."""
     reader = csv.reader(io.StringIO(text, newline=""))
     return [reader.line_num for _ in itertools.islice(reader, len(rows))]

@@ -349,6 +349,23 @@ def test_output_into_a_missing_directory_exits_two_and_writes_nothing(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["d"] and list(directory.iterdir()) == []
 
 
+def test_an_output_fifo_is_written_in_place(tmp_path, capsys):
+    # A rename would put a regular file where the FIFO was, and its reader would get nothing.
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that the writer's open does not block
+    try:
+        assert main(["matrix", *CHAIN_FILES]) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        assert len(expected) < 1 << 16  # the whole output fits in the pipe, so the write does not block
+        assert main(["matrix", *CHAIN_FILES, "-o", fifo]) == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 1 << 16) == expected
+    finally:
+        os.close(reader)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
 def test_a_bad_output_is_reported_before_any_input_is_read(tmp_path, capsys):
     # The input is not UTF-8, yet only the output's error is printed.
     path = tmp_path / "cp1252.chains"
@@ -754,23 +771,23 @@ MODULE_PROBE = (
     ("argv", "layers"),
     [
         ([], []),
-        (["validate", *CHAIN_FILES], ["diagnostics", "dsl"]),
-        (["analyze", *CHAIN_FILES, "-o", "{tmp}/report.csv"], ["analysis", "diagnostics", "dsl", "emit", "matrix"]),
+        (["validate", *CHAIN_FILES], ["dsl"]),
+        (["analyze", *CHAIN_FILES, "-o", "{tmp}/report.csv"], ["analysis", "dsl", "emit", "matrix"]),
         (
             ["analyze", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/report.csv"],
             ["analysis", "emit", "matrix", "sums_table"],
         ),
-        (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["diagnostics", "rapex"]),
-        (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["diagnostics", "dsl", "emit", "matrix"]),
-        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["diagnostics", "dsl", "emit", "matrix"]),
-        (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "diagnostics", "dsl", "emit", "matrix"]),
+        (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["rapex"]),
+        (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["dsl", "emit", "matrix"]),
+        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["dsl", "emit", "matrix"]),
+        (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "dsl", "emit", "matrix"]),
         (
             ["plot", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/scatter.svg"],
             ["analysis", "emit", "matrix", "sums_table"],
         ),
         (
             ["analyze", *CHAIN_FILES, "--key-threshold", "50", "-o", "{tmp}/report.csv"],
-            ["analysis", "diagnostics", "dsl", "emit", "matrix"],
+            ["analysis", "dsl", "emit", "matrix"],
         ),
     ],
     ids=[
@@ -795,12 +812,12 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
     assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
     # No command imports dataclasses (which imports inspect) or tempfile; csv comes only
     # with the sums-table reader, which only --from-sums runs, only a threshold option,
-    # read exactly, needs decimal, and only import-rapex reads JSON and builds paths.
+    # read exactly, needs decimal, only import-rapex reads JSON, and none builds paths.
     thresholds = {"--dominant-ratio", "--reactive-ratio", "--key-threshold"}
     expected = [
         *(["csv"] if "sums_table" in layers else []),
         *(["decimal"] if thresholds & {*argv} else []),
-        *(["json", "pathlib"] if "rapex" in layers else []),
+        *(["json"] if "rapex" in layers else []),
     ]
     assert stdlib.split() == ["stdlib:", *expected]
 

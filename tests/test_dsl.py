@@ -9,7 +9,6 @@ import pytest
 
 from corpus import chain_sets, failure_chains, mutate_text, random_chain_set
 from keyfactors import dsl
-from keyfactors.diagnostics import _ESCAPES
 from keyfactors.dsl import (
     _STEP_KEYWORDS,
     Diagnostic,
@@ -21,6 +20,7 @@ from keyfactors.dsl import (
     serialize_document,
 )
 from keyfactors.model import (
+    _ESCAPES,
     _UNWRITABLE,
     ChainSet,
     ChainValidationError,

@@ -65,7 +65,7 @@ def test_diagnostic_types_resolve_without_loading_the_chain_parser():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "keyfactors.diagnostics\nTrue True\n"
+    assert result.stdout == "keyfactors.model\nTrue True\n"
 
 
 def test_every_benchmark_check_catches_an_altered_output():

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from keyfactors.dsl import Severity, parse_document
@@ -236,7 +236,8 @@ def _reference(records):
     ]
 
 
-@settings(max_examples=300)
+# The first draw of st.text() builds hypothesis's Unicode table, which run alone can trip too_slow.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.lists(usable_records(), max_size=6),
     st.one_of(st.none(), st.sampled_from(sorted(MUTATIONS))),
