@@ -6,8 +6,9 @@ rank), and classified into regions by the ratio of the normalized
 values. Key factors are those whose combined normalized magnitude
 clears a configurable threshold. Region and key decisions are made on
 the integer sums, each axis's maximum and the thresholds' exact values,
-by integer cross-multiplication; the float normalized values serve the
-scatter plot only, and the report prints its norms from the integer sums.
+by integer cross-multiplication, once per distinct (active, passive)
+pair; the float normalized values serve the scatter plot only, and the
+report prints its norms from the integer sums.
 
 AnalysisConfig and FactorScore are NamedTuples, so they compare equal to
 plain tuples holding the same fields.
@@ -136,10 +137,14 @@ def analyze(data: ChainSet | SumsTable, cfg: AnalysisConfig | None = None) -> tu
     cfg = cfg or AnalysisConfig()
     factors, active, passive = sums(data) if isinstance(data, ChainSet) else data
     active_max, passive_max = max(active, default=0), max(passive, default=0)
-    limits = (active_max, passive_max, cfg)
+    # Sums count occurrences, so many factors share a pair, and both decisions
+    # depend on the pair alone once the maxima and cfg are fixed.
+    pairs = tuple(zip(active, passive))
+    regions = {pair: classify(*pair, active_max, passive_max, cfg) for pair in dict.fromkeys(pairs)}
+    keys = {pair: _is_key(*pair, active_max, passive_max, cfg) for pair in regions}
     columns = (
         _normalize(active, active_max), _normalize(passive, passive_max),
         competition_rank(active), competition_rank(passive),
-        map(classify, active, passive, *map(repeat, limits)), map(_is_key, active, passive, *map(repeat, limits)),
+        map(regions.__getitem__, pairs), map(keys.__getitem__, pairs),
     )
-    return tuple(map(FactorScore._make, zip(factors, active, passive, *columns)))
+    return tuple(map(tuple.__new__, repeat(FactorScore), zip(factors, active, passive, *columns)))

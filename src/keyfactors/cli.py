@@ -394,11 +394,13 @@ def _output(path: str | None) -> Iterator[Callable[[str], None]]:
                 os.fchmod(handle.fileno(), mode & 0o777)
 
         def write(text: str) -> None:
+            nonlocal tmp
             with _named(path):
                 with handle:
                     _write_text(handle, text)
                 if tmp is not None:
                     os.replace(tmp, path)
+                    tmp = None  # renamed away: the name is no longer ours to remove
 
         yield write
     finally:

@@ -6,13 +6,14 @@ in double quotes, each quote doubled, exactly when it holds a comma, a
 quote, CR or LF. Every other cell is an integer, empty or a fixed word.
 Decimal separators are periods. Zero matrix cells print as empty strings
 so the grid keeps the sparse look of the source diagrams. The report prints each norm from its
-integer sum and axis maximum, rounded half up exactly; no float is printed.
+integer sum and axis maximum, rounded half up exactly; no float is printed. The scatter
+formats each marker's geometry once per distinct position, however many factors share it.
 """
 
 from __future__ import annotations
 
 from itertools import starmap
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from keyfactors.matrix import RelationshipMatrix, competition_rank, sums
@@ -184,15 +185,21 @@ def render_scatter_svg(scores: Sequence[FactorScore], cfg: AnalysisConfig) -> st
         )
 
     s = _MARKER_SIZE
-    for score in sorted(scores, key=lambda score: score.factor.id):
-        x = x_pixel(score.passive_norm)
-        y = y_pixel(score.active_norm)
-        parts += (
-            f'<g class="marker" data-factor="{score.factor.id}">',
-            _MARKERS[score.region.value].format(x=x, y=y, l=x - s, r=x + s, t=y - s, b=y + s, s=s, d=2 * s),
-            f'<text x="{x + s + 2:.2f}" y="{y - s - 2:.2f}" font-size="{_FONT_SIZE}">{score.factor.id}</text>',
-            "</g>",
-        )
+    # Merged networks hold few distinct positions: each position's marker and
+    # label opening are formatted once, and each factor adds only its id.
+    drawn = {}
+    for score in sorted(scores, key=attrgetter("factor.id")):
+        position = (score.region, score.passive_norm, score.active_norm)
+        if position not in drawn:
+            x = x_pixel(score.passive_norm)
+            y = y_pixel(score.active_norm)
+            drawn[position] = (
+                _MARKERS[score.region.value].format(x=x, y=y, l=x - s, r=x + s, t=y - s, b=y + s, s=s, d=2 * s),
+                f'<text x="{x + s + 2:.2f}" y="{y - s - 2:.2f}" font-size="{_FONT_SIZE}">',
+            )
+        shape, label = drawn[position]
+        factor_id = score.factor.id
+        parts += (f'<g class="marker" data-factor="{factor_id}">', shape, f"{label}{factor_id}</text>", "</g>")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

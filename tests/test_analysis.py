@@ -158,6 +158,8 @@ def _oracle(active_sum, passive_sum, active_max, passive_max, dominant, reactive
 def test_decisions_match_rational_oracle_at_boundary_points(pairs, data):
     # The thresholds are drawn from the factors' own exact ratios and
     # normalized sums, so some factors sit exactly on each boundary.
+    # Some pairs repeat, so that factors share each decision made per distinct pair.
+    pairs = pairs + data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
     active, passive = (list(axis) for axis in zip(*pairs))
     active_max, passive_max = max(active), max(passive)
     ratios = sorted({Fraction(a * passive_max, p * active_max) for a, p in pairs if a and p})

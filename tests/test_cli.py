@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -333,6 +334,17 @@ def test_new_and_rewritten_output_files_make_no_umask_call(tmp_path, monkeypatch
         monkeypatch.undo()
         os.umask(previous)
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_a_written_output_unlinks_no_temp_name(tmp_path, monkeypatch):
+    # The temp file is renamed over the output, so there is nothing left to remove.
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", unlinked.append)
+    out = tmp_path / "r.csv"
+    assert main(["analyze", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", str(out)]) == 0
+    assert main(["import-rapex", str(DATA / "alerts_sample.json"), "-d", str(tmp_path / "skeletons")]) == 0
+    assert unlinked == []
+    assert out.stat().st_size > 0 and list((tmp_path / "skeletons").glob("*.chains"))
 
 
 def test_output_into_a_missing_directory_exits_two_and_writes_nothing(tmp_path, capsys):
@@ -734,6 +746,25 @@ def test_awkward_names_print_the_committed_digests():
     result = subprocess.run(script, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (ROOT / "tests" / "data" / "awkward_digests.txt").read_text(encoding="utf-8")
+
+
+def test_check_pythons_passes_here_and_names_an_altered_digest(tmp_path):
+    script = ["scripts/check_pythons.py", sys.executable]
+    result = subprocess.run([sys.executable, *script], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stdout) == (0, f"{sys.executable} data ok\n{sys.executable} awkward ok\n")
+    # A copy whose committed awkward digests have one line altered fails that check alone.
+    for part in ("scripts", "src", "data", "tests/data"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    committed = tmp_path / "tests" / "data" / "awkward_digests.txt"
+    lines = committed.read_text(encoding="utf-8").splitlines(keepends=True)
+    label, stream, _ = lines[4].split(" ")
+    lines[4] = f"{label} {stream} {'0' * 64}\n"
+    committed.write_text("".join(lines), encoding="utf-8")
+    result = subprocess.run([sys.executable, *script], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stdout) == (
+        1,
+        f"{sys.executable} data ok\n{sys.executable} awkward differs: 1 of {len(lines)} lines, first {label} {stream}\n",
+    )
 
 
 @pytest.mark.parametrize("workload", ["chains-large", "factors-wide", "intake"])

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from corpus import chain_sets, csv_row
 from keyfactors.analysis import AnalysisConfig, analyze
 from keyfactors.emit import (
+    _FONT_SIZE,
+    _MARKER_SIZE,
+    _MARKERS,
     export_dot,
     export_matrix_csv,
     REPORT_COLUMNS,
@@ -217,6 +220,43 @@ def sums_tables(draw):
 def test_report_csv_is_byte_identical_to_the_per_row_writer(table, cfg):
     scores = analyze(table, cfg)
     assert export_report_csv(scores) == reference_report_csv(scores)
+
+
+def reference_scatter_svg(scores, cfg):
+    """Oracle: the scatter with every marker formatted on its own, after the axes and rays of an empty plot."""
+    parts = render_scatter_svg((), cfg).splitlines()[:-1]  # all but the closing </svg>
+    s = _MARKER_SIZE
+    for score in sorted(scores, key=lambda score: score.factor.id):
+        x = x_pixel(score.passive_norm)
+        y = y_pixel(score.active_norm)
+        parts += (
+            f'<g class="marker" data-factor="{score.factor.id}">',
+            _MARKERS[score.region.value].format(x=x, y=y, l=x - s, r=x + s, t=y - s, b=y + s, s=s, d=2 * s),
+            f'<text x="{x + s + 2:.2f}" y="{y - s - 2:.2f}" font-size="{_FONT_SIZE}">{score.factor.id}</text>',
+            "</g>",
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def whole_norms_as_ints(score):
+    """The score with each whole-number norm an int, as a score made by hand may hold it: 0 and 100, not 0.0 and 100.0."""
+    norms = {name: getattr(score, name) for name in ("active_norm", "passive_norm")}
+    return score._replace(**{name: int(norm) for name, norm in norms.items() if norm == int(norm)})
+
+
+@given(sums_tables(), st.sampled_from(CONFIGS), st.booleans())
+@example(SumsTable((), (), ()), AnalysisConfig(), False)
+@example(SumsTable(_factors("a", "b", "c"), (2, 2, 2), (3, 3, 3)), AnalysisConfig(), False)  # every factor on one point
+# All four regions: dominant, dynamic and reactive on one passive norm, isolated on the reactive one's active norm.
+@example(SumsTable(_factors("a", "b", "c", "d", "e"), (4, 2, 0, 0, 0), (2, 2, 2, 0, 4)), AnalysisConfig(), False)
+# Norms 0 and 100 as ints on b and d: b is drawn before c, its float twin, and d after a, its float twin.
+@example(SumsTable(_factors("a", "b", "c", "d"), (0, 4, 4, 0), (4, 0, 0, 4)), AnalysisConfig(), True)
+def test_scatter_svg_is_byte_identical_to_the_per_marker_writer(table, cfg, ints):
+    scores = analyze(table, cfg)
+    if ints:  # every other factor, so that a position is drawn from an int norm and from its equal float
+        scores = [whole_norms_as_ints(score) if i % 2 else score for i, score in enumerate(scores)]
+    assert render_scatter_svg(scores, cfg) == reference_scatter_svg(scores, cfg)
 
 
 @given(chain_sets())
