@@ -15,7 +15,9 @@ standard output closed early (``keyfactors matrix ... | head``) ends the
 run quietly with exit 2. Without -o, output goes to standard output,
 as UTF-8 whatever its encoding; -o is opened before any input is read.
 File writes are atomic (temp file plus rename), so rerunning with
-unchanged inputs rewrites identical bytes. A rewritten file keeps its
+unchanged inputs rewrites identical bytes. An -o that names one of the
+command's own input files, by any path, is refused with exit 2 before
+the rename, and the input is left as it was. A rewritten file keeps its
 permission bits; a new one gets the mode open() would give it. A FIFO or
 device named by -o is written in place, not replaced. A failed
 write names the -o path, not the temp file.
@@ -273,11 +275,13 @@ def _load_chains(args: argparse.Namespace) -> ChainSet:
     Prints diagnostics as they are found; raises _Exit(1) when any error
     (or, under --strict, any warning) occurred. A file given twice, by
     the same or another path, is read and counted twice, with a warning.
+    A file that -o names too is refused with _Exit(2) before it is parsed.
     """
     from keyfactors.dsl import Severity, parse_document
 
     if not args.files:
         raise _usage_error(args, "at least one chain file is required")
+    output = _output_identity(args)
     failed = False
     combined: list = []
     first_paths: dict[tuple[int, int], str] = {}
@@ -285,6 +289,8 @@ def _load_chains(args: argparse.Namespace) -> ChainSet:
         text = _read_text(path)
         info = os.stat(path)
         identity = (info.st_dev, info.st_ino)
+        if identity == output:
+            raise _Exit(2, f"error: {args.output} is also an input file")
         if identity in first_paths:
             print(f"{path}: warning: same file as {first_paths[identity]}; its chains count again", file=sys.stderr)
             failed |= args.strict
@@ -300,6 +306,22 @@ def _load_chains(args: argparse.Namespace) -> ChainSet:
     if failed:
         raise _Exit(1)
     return ChainSet(combined)
+
+
+def _output_identity(args: argparse.Namespace) -> tuple[int, int] | None:
+    """(st_dev, st_ino) of the regular file that -o would replace, or None.
+
+    The output is renamed over that file after the inputs are read, so an
+    input it names would be lost however the reads went. A FIFO or device
+    is written in place and replaces nothing.
+    """
+    if getattr(args, "output", None) is None:
+        return None
+    try:
+        info = os.stat(args.output)
+    except OSError:
+        return None  # nothing there to replace, or -o fails when it is opened
+    return (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
 
 
 def _write_lines(lines: Iterable[str]) -> None:
@@ -346,11 +368,17 @@ def _read_text(path: str, newline: str | None = None) -> str:
 
 
 def _read_sums(args: argparse.Namespace) -> SumsTable:
-    """Load the sums table that --from-sums names and print its warnings, which --strict refuses with _Exit(1)."""
+    """Load the sums table that --from-sums names and print its warnings, which --strict refuses with _Exit(1).
+
+    A table that -o names too is refused with _Exit(2) before it is parsed.
+    """
     from keyfactors.sums_table import parse_sums_table
 
     path = args.from_sums
     text = _read_text(path, newline="")  # as written: a CR in a quoted name stays a CR
+    info = os.stat(path)
+    if (info.st_dev, info.st_ino) == _output_identity(args):
+        raise _Exit(2, f"error: {args.output} is also an input file")
     try:
         table, warnings = parse_sums_table(text)
     except ValueError as exc:

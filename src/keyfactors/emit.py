@@ -7,7 +7,9 @@ quote, CR or LF. Every other cell is an integer, empty or a fixed word.
 Decimal separators are periods. Zero matrix cells print as empty strings
 so the grid keeps the sparse look of the source diagrams. The report prints each norm from its
 integer sum and axis maximum, rounded half up exactly; no float is printed. The scatter
-formats each marker's geometry once per distinct position, however many factors share it.
+formats each marker's geometry once per distinct position, however many factors share it,
+and the DOT graph formats each node name and each distinct count's edge attributes once,
+however many edges use them.
 """
 
 from __future__ import annotations
@@ -221,16 +223,19 @@ def export_dot(matrix: RelationshipMatrix) -> str:
 
     One node per factor (shape keyed by category), one edge per nonzero
     cell with the count as label and a proportional pen width; nodes and
-    edges are emitted in id order.
+    edges are emitted in id order. Each node name and each distinct
+    count's attributes are formatted once, so an edge line only joins
+    three strings.
     """
     lines = ["digraph failure_network {"]
     for factor in matrix.factors:
         label = _dot_escape(f"{factor.id}: {factor.display_name}")
         lines.append(f'  f{factor.id} [label="{label}", shape={_DOT_SHAPES[factor.category]}];')
-    # Merged networks hold few distinct counts: each pen width is formatted once.
-    pen_widths = {value: f"{float(value):.1f}" for value in set(matrix.edges.values())}
-    for (r, c), value in matrix.edges.items():
-        lines.append(f'  f{r + 1} -> f{c + 1} [label="{value}", penwidth={pen_widths[value]}];')
+    # An edge names its ends by 0-based matrix index plus one. Merged networks
+    # hold far more edges than factors, and few distinct counts.
+    names = [f"f{index}" for index in range(1, matrix.size + 1)]
+    attributes = {value: f' [label="{value}", penwidth={float(value):.1f}];' for value in set(matrix.edges.values())}
+    lines += [f"  {names[r]} -> {names[c]}{attributes[value]}" for (r, c), value in matrix.edges.items()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

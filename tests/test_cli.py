@@ -2,6 +2,7 @@ import argparse
 import collections
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import module_probe
 from keyfactors import cli
 from keyfactors.analysis import analyze
 from keyfactors.cli import main
@@ -22,7 +24,7 @@ from keyfactors.sums_table import parse_sums_table
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
-CHAIN_FILES = [str(DATA / "chains" / name) for name in ("burn.chains", "shock.chains", "poisoning.chains")]
+CHAIN_FILES = module_probe.CHAIN_FILES
 
 BAD_HARM_DOC = 'alert: a\ncase: c\ncomponent "plug"\nharm "burn"\naction "user pulls"\n'
 
@@ -751,7 +753,10 @@ def test_awkward_names_print_the_committed_digests():
 def test_check_pythons_passes_here_and_names_an_altered_digest(tmp_path):
     script = ["scripts/check_pythons.py", sys.executable]
     result = subprocess.run([sys.executable, *script], cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert (result.returncode, result.stdout) == (0, f"{sys.executable} data ok\n{sys.executable} awkward ok\n")
+    assert (result.returncode, result.stdout) == (
+        0,
+        f"{sys.executable} data ok\n{sys.executable} awkward ok\n{sys.executable} modules ok\n",
+    )
     # A copy whose committed awkward digests have one line altered fails that check alone.
     for part in ("scripts", "src", "data", "tests/data"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
@@ -763,7 +768,8 @@ def test_check_pythons_passes_here_and_names_an_altered_digest(tmp_path):
     result = subprocess.run([sys.executable, *script], cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert (result.returncode, result.stdout) == (
         1,
-        f"{sys.executable} data ok\n{sys.executable} awkward differs: 1 of {len(lines)} lines, first {label} {stream}\n",
+        f"{sys.executable} data ok\n{sys.executable} awkward differs: 1 of {len(lines)} lines, first {label} {stream}\n"
+        f"{sys.executable} modules ok\n",
     )
 
 
@@ -784,60 +790,11 @@ def test_generated_corpora_print_the_committed_digests(tmp_path, workload):
     assert result.stdout == digests.read_text(encoding="utf-8")
 
 
-# Prints the keyfactors modules loaded after running the CLI on its arguments,
-# then which of the stdlib modules the probe watches were loaded. It runs
-# under -S, so that modules which site's .pth files import cannot hide one.
-MODULE_PROBE = (
-    "import sys\n"
-    "from keyfactors.cli import main\n"
-    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "print(*sorted(m for m in sys.modules if m.startswith('keyfactors')))\n"
-    "watched = ('csv', 'dataclasses', 'decimal', 'inspect', 'json', 'pathlib', 'tempfile')\n"
-    "print('stdlib:', *sorted(m for m in watched if m in sys.modules))\n"
-    "sys.exit(code)\n"
-)
-
-
 @pytest.mark.parametrize(
-    ("argv", "layers"),
-    [
-        ([], []),
-        (["validate", *CHAIN_FILES], ["dsl"]),
-        (["analyze", *CHAIN_FILES, "-o", "{tmp}/report.csv"], ["analysis", "dsl", "emit", "matrix"]),
-        (
-            ["analyze", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/report.csv"],
-            ["analysis", "emit", "matrix", "sums_table"],
-        ),
-        (["import-rapex", str(DATA / "alerts_sample.json"), "-d", "{tmp}/skeletons"], ["rapex"]),
-        (["dot", *CHAIN_FILES, "-o", "{tmp}/network.dot"], ["dsl", "emit", "matrix"]),
-        (["matrix", *CHAIN_FILES, "-o", "{tmp}/matrix.csv"], ["dsl", "emit", "matrix"]),
-        (["plot", *CHAIN_FILES, "-o", "{tmp}/scatter.svg"], ["analysis", "dsl", "emit", "matrix"]),
-        (
-            ["plot", "--from-sums", str(DATA / "table1_as_printed.csv"), "-o", "{tmp}/scatter.svg"],
-            ["analysis", "emit", "matrix", "sums_table"],
-        ),
-        (
-            ["analyze", *CHAIN_FILES, "--key-threshold", "50", "-o", "{tmp}/report.csv"],
-            ["analysis", "dsl", "emit", "matrix"],
-        ),
-    ],
-    ids=[
-        "import-cli",
-        "validate",
-        "analyze",
-        "from-sums",
-        "import-rapex",
-        "dot",
-        "matrix",
-        "plot",
-        "plot-from-sums",
-        "key-threshold",
-    ],
+    ("argv", "layers"), [case[1:] for case in module_probe.COMMANDS], ids=[case[0] for case in module_probe.COMMANDS]
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, layers):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
-    result = subprocess.run([sys.executable, "-S", "-c", MODULE_PROBE, *argv], env=env, capture_output=True, text=True)
+    result = module_probe.run(sys.executable, argv, tmp_path)
     assert result.returncode == 0, result.stderr
     *_, loaded, stdlib = result.stdout.splitlines()
     assert loaded.split() == sorted(["keyfactors", "keyfactors.cli", "keyfactors.model", *(f"keyfactors.{m}" for m in layers)])
@@ -1104,6 +1061,29 @@ def test_empty_sums_rows_above_the_header_are_skipped_with_a_warning(tmp_path, c
     assert (tmp_path / "above.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
     assert main(["analyze", "--strict", "--from-sums", above, "-o", str(tmp_path / "strict.out")]) == 1
     assert not (tmp_path / "strict.out").exists()
+
+
+def sha256_of_each_file(directory):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["matrix", "analyze", "plot", "dot"])
+def test_an_output_that_is_an_input_is_refused_and_the_input_kept(tmp_path, capsys, command):
+    # -o renames a temp file over its path after the inputs are read, so the input would
+    # be replaced by the output. A hard link is the same file by another name.
+    chains = write(tmp_path, "a.chains", CHAIN_DOC)
+    other = write(tmp_path, "b.chains", CHAIN_DOC)
+    link = str(tmp_path / "link.chains")
+    os.link(chains, link)
+    cases = [([chains], chains), ([other, chains], link)]
+    if command in ("analyze", "plot"):
+        sums = write(tmp_path, "sums.csv", SUMS_TABLE)
+        cases.append((["--from-sums", sums], sums))
+    before = sha256_of_each_file(tmp_path)
+    for inputs, output in cases:
+        assert main([command, *inputs, "-o", output]) == 2
+        assert capsys.readouterr() == ("", f"error: {output} is also an input file\n")
+        assert sha256_of_each_file(tmp_path) == before  # every input as it was, and no temp file left
 
 
 def test_a_chain_file_given_twice_counts_twice_with_a_warning(tmp_path, capsys):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from corpus import chain_sets, csv_row
+from corpus import NON_HARM, chain_sets, csv_row
 from keyfactors.analysis import AnalysisConfig, analyze
 from keyfactors.emit import (
+    _DOT_SHAPES,
     _FONT_SIZE,
     _MARKER_SIZE,
     _MARKERS,
@@ -257,6 +258,62 @@ def test_scatter_svg_is_byte_identical_to_the_per_marker_writer(table, cfg, ints
     if ints:  # every other factor, so that a position is drawn from an int norm and from its equal float
         scores = [whole_norms_as_ints(score) if i % 2 else score for i, score in enumerate(scores)]
     assert render_scatter_svg(scores, cfg) == reference_scatter_svg(scores, cfg)
+
+
+def reference_dot(matrix):
+    """Oracle: the DOT graph with every edge line formatted on its own."""
+
+    def escape(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
+
+    lines = ["digraph failure_network {"]
+    for factor in matrix.factors:
+        label = escape(f"{factor.id}: {factor.display_name}")
+        lines.append(f'  f{factor.id} [label="{label}", shape={_DOT_SHAPES[factor.category]}];')
+    pen_widths = {value: f"{float(value):.1f}" for value in set(matrix.edges.values())}
+    for (r, c), value in matrix.edges.items():
+        lines.append(f'  f{r + 1} -> f{c + 1} [label="{value}", penwidth={pen_widths[value]}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def numbered_chain_sets(draw):
+    """Chains through 2-130 factors, so ids run past 9 and 99, with names DOT must escape and repeated chains.
+
+    Each factor's name ends in its own number, so no two share an identity.
+    """
+    n = draw(st.integers(min_value=2, max_value=130))
+    escapes = st.text(alphabet=st.sampled_from(['"', "\\", "\n", "\r", "a", " "]), max_size=3)
+    pool = [(draw(st.sampled_from(NON_HARM)), f"{draw(escapes)}{i}") for i in range(1, n)]
+    harm = (C.HARM, f"{draw(escapes)}harm")
+    order = draw(st.permutations(pool))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 2), max_size=n // 3))) if n > 2 else []
+    chains = [
+        FailureChain("a", "c", (*order[start:end], harm)) for start, end in zip([0, *cuts], [*cuts, n - 1])
+    ]
+    # Repeated chains make counts above one, and several edges with the same count.
+    chains += draw(st.lists(st.sampled_from(chains), max_size=6))
+    return ChainSet(tuple(chains))
+
+
+# 121 factors, parts 1-60, functions 61-120 and the harm 121, so ids run past 99 at both
+# ends of an edge; counts 1 and 2 are each on many edges.
+PARTS = [(C.COMPONENT, f'part "{i}"\\') for i in range(60)]
+FUNCTIONS = [(C.FUNCTION, f"fn\r\n{i}") for i in range(60)]
+WIDE_NETWORK = ChainSet(
+    tuple(FailureChain("a", "c", (part, fn, (C.HARM, "burn"))) for part, fn in zip(PARTS, FUNCTIONS)) * 2
+    + tuple(FailureChain("a", "c", (fn, part, (C.HARM, "burn"))) for fn, part in zip(FUNCTIONS, PARTS[1:]))
+)
+
+
+@given(numbered_chain_sets())
+@example(ChainSet())
+@example(ChainSet((FailureChain("a", "c", ((C.COMPONENT, 'q"\\'), (C.HARM, "h\r\n"))),)))  # a single edge
+@example(WIDE_NETWORK)
+def test_dot_is_byte_identical_to_the_per_edge_writer(chain_set):
+    matrix = build_matrix(chain_set)
+    assert export_dot(matrix) == reference_dot(matrix)
 
 
 @given(chain_sets())
